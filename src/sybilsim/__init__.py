@@ -49,7 +49,6 @@ from sybilsim.aggregation import (
     krum_score,
     krum_select,
     multi_krum,
-    sybilwall_aggregate,
     sybilwall_weights,
 )
 from sybilsim.gossip import (
@@ -109,7 +108,6 @@ __all__ = [
     "run_simulation",
     "select_gossip",
     "synth_blobs",
-    "sybilwall_aggregate",
     "sybilwall_weights",
     "train_sgd",
     "update_db",

@@ -6,8 +6,7 @@ filtering variants), coordinate-wise medians, and the trust-own-model
 variant used as the main defense.  Score vectors are plain dicts keyed by
 node id; weights stay in [0, 1] until a caller normalizes them.
 
-All functions are pure and deterministic, so different nodes' aggregations
-can run concurrently without coordination.
+All functions are pure and deterministic.
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ import numpy as np
 from .numerics import cosine_similarity
 
 LOGIT_EPS = 1e-5
-
-ENHANCEMENTS = ("median", "wmedian", "krumfilter")
 
 
 def _as_vector(v) -> np.ndarray:
@@ -261,24 +258,14 @@ def enhance_krum_filter(
     return weighted_average(c, normalized)
 
 
-def sybilwall_aggregate(
-    c: ContributionSet,
-    enhancement: Optional[str] = None,
-    kappa: float = 1.0,
-    logit_eps: float = LOGIT_EPS,
-) -> np.ndarray:
-    """Full defense aggregation: score histories, then combine models.
-
-    ``enhancement`` picks the final combination step: None for the plain
-    weighted average, or one of "median", "wmedian", "krumfilter".
-    """
-    weights, _ = sybilwall_weights(c, kappa=kappa, logit_eps=logit_eps)
-    return apply_weights(c, weights, enhancement)
-
-
 def apply_weights(
     c: ContributionSet, weights: Dict[int, float], enhancement: Optional[str] = None
 ) -> np.ndarray:
+    """Combine the own and direct models under ``weights``.
+
+    ``enhancement`` picks the combination step: None for the plain weighted
+    average, or one of "median", "wmedian", "krumfilter".
+    """
     if enhancement is None:
         return weighted_average(c, weights)
     if enhancement == "median":

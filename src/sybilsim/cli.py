@@ -1,9 +1,8 @@
 """Experiment runner: single runs, parameter sweeps, topology inspection.
 
 Exit codes: 0 success, 2 configuration problem, 3 runtime failure.
-Environment variables SYBILSIM_WORKERS and SYBILSIM_OUT_DIR override the
-worker count and output directory when the flags are absent; every other
-knob comes from the config file.
+The environment variable SYBILSIM_OUT_DIR supplies the output directory
+when ``--out-dir`` is absent; every other knob comes from the config file.
 """
 
 from __future__ import annotations
@@ -16,8 +15,7 @@ import sys
 from typing import List, Optional
 
 from .config import AGGREGATORS, ConfigError, SimulationConfig, load_config
-from .engine import _fmt, run_simulation
-from .topology import build_attack_network
+from .engine import _fmt, build_network, run_simulation
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -34,9 +32,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="YAML config file")
     common.add_argument("--seed", type=int, default=None, help="override the run seed")
-    common.add_argument(
-        "--workers", type=int, default=None, help="worker threads per run"
-    )
     common.add_argument("--out-dir", default=None, help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -74,17 +69,12 @@ def _resolve(args) -> tuple:
         or cfg.out_dir
         or "runs"
     )
-    workers = args.workers
-    if workers is None:
-        workers = int(os.environ.get("SYBILSIM_WORKERS", "1"))
-    if workers < 1:
-        raise ConfigError("workers: must be >= 1")
-    return cfg, out_dir, workers
+    return cfg, out_dir
 
 
 def cmd_run(args) -> int:
-    cfg, out_dir, workers = _resolve(args)
-    result = run_simulation(cfg, workers=workers)
+    cfg, out_dir = _resolve(args)
+    result = run_simulation(cfg)
     result.write_outputs(out_dir)
     last = result.metrics[-1]
     print(
@@ -127,13 +117,13 @@ def _with_axis(cfg: SimulationConfig, axis: str, value) -> SimulationConfig:
 
 
 def cmd_sweep(args) -> int:
-    cfg, out_dir, workers = _resolve(args)
+    cfg, out_dir = _resolve(args)
     values = _parse_values(args.axis, args.values)
     variants = [(v, _with_axis(cfg, args.axis, v)) for v in values]
     summary = ["axis,value,final_round,final_mean_accuracy,final_mean_attack_score"]
     for value, variant in variants:
         run_dir = os.path.join(out_dir, f"{args.axis}-{value}")
-        result = run_simulation(variant, workers=workers)
+        result = run_simulation(variant)
         result.write_outputs(run_dir)
         last = result.metrics[-1]
         summary.append(
@@ -153,12 +143,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_topology(args) -> int:
-    cfg, out_dir, _ = _resolve(args)
-    phi = cfg.attack.phi if cfg.attack is not None else None
-    topo_seed = cfg.topology.seed if cfg.topology.seed is not None else cfg.seed
-    honest_g, plan, full_g = build_attack_network(
-        cfg.honest_nodes, cfg.topology.radius, cfg.degree_bound, phi, topo_seed
-    )
+    cfg, out_dir = _resolve(args)
+    plan, full_g = build_network(cfg)
     os.makedirs(out_dir, exist_ok=True)
     topo_path = os.path.join(out_dir, "topology.json")
     with open(topo_path, "w") as fh:
@@ -181,7 +167,7 @@ def cmd_topology(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg, _, _ = _resolve(args)
+    cfg, _ = _resolve(args)
     print(json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
     print("config ok")
     return EXIT_OK

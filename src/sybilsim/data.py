@@ -7,7 +7,6 @@ input.  Everything that draws random numbers is deterministic per seed.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
 from typing import ClassVar, Sequence, Union
@@ -56,31 +55,6 @@ class LabeledDataset:
     def subset(self, indices) -> "LabeledDataset":
         idx = np.asarray(indices, dtype=np.int64)
         return LabeledDataset(self.features[idx], self.labels[idx], self.n_classes)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "features": self.features.tolist(),
-            "labels": self.labels.tolist(),
-            "n_classes": self.n_classes,
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "LabeledDataset":
-        features = np.asarray(obj["features"], dtype=np.float64)
-        labels = np.asarray(obj["labels"], dtype=np.int64)
-        n_classes = obj.get("n_classes")
-        if n_classes is None:
-            n_classes = int(labels.max()) + 1 if len(labels) else 1
-        return cls(features, labels, int(n_classes))
-
-    def save_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh)
-
-    @classmethod
-    def load_json(cls, path) -> "LabeledDataset":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 @dataclass(frozen=True)

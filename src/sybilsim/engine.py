@@ -1,9 +1,10 @@
 """Synchronous round engine: receive, aggregate, train, gossip, repeat.
 
 Messages composed in round T are delivered at T+1, losslessly unless a
-downtime schedule takes a node offline.  All randomness is drawn from
-streams derived only from (run seed, node id, round, purpose), so results
-are identical for any worker count.
+downtime schedule takes a node offline or a message fails verification.
+Nodes step one at a time in id order, honest nodes first.  All randomness
+is drawn from streams derived only from (run seed, node id, round,
+purpose), so a run is fully determined by its config.
 
 Trained models are rounded to multiples of 2^-30 before entering a
 history.  On that grid every history sum and difference is exact in IEEE
@@ -19,7 +20,6 @@ import math
 import os
 import struct
 import subprocess
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -52,6 +52,7 @@ from .data import (
 )
 from .gossip import (
     HistoryDB,
+    MessageRejected,
     RoundMessage,
     Signer,
     Verifier,
@@ -61,7 +62,15 @@ from .gossip import (
     receive_message,
     select_gossip,
 )
-from .numerics import Architecture, Model, TrainConfig, evaluate_accuracy, init_model, train_sgd
+from .numerics import (
+    Architecture,
+    Model,
+    NumericFailure,
+    TrainConfig,
+    evaluate_accuracy,
+    init_model,
+    train_sgd,
+)
 from .topology import SSPPlan, Topology, build_attack_network
 
 HISTORY_GRID = 2.0 ** 30
@@ -114,7 +123,8 @@ class RunResult:
     final_models: Dict[int, np.ndarray]
     final_histories: Dict[int, np.ndarray]
     activity: Dict[int, Dict[int, str]]
-    message_counts: List[int] = field(default_factory=list)
+    message_counts: List[int] = field(default_factory=list)  # composed per round
+    rejected_counts: List[int] = field(default_factory=list)  # dropped on receipt
     trained_trace: Optional[Dict[Tuple[int, int], np.ndarray]] = None
     inferred_trace: Optional[List[Tuple[int, int, int, np.ndarray]]] = None
     direct_counts: Optional[Dict[Tuple[int, int], int]] = None
@@ -157,6 +167,8 @@ def _git_describe() -> str:
 
 @dataclass
 class _NodeState:
+    """One node, honest or Sybil, and the role it plays in every round."""
+
     id: int
     model: np.ndarray
     history: np.ndarray
@@ -165,29 +177,9 @@ class _NodeState:
     dataset: LabeledDataset
     signer: Signer
     neighbors: List[int]
-
-
-@dataclass
-class _AdversaryState:
-    sybil_ids: List[int]
-    designated: int
-    model: np.ndarray
-    history: np.ndarray
-    dataset: LabeledDataset  # poisoned
-    per_sybil: Dict[int, _NodeState] = field(default_factory=dict)
-
-
-@dataclass
-class _StepResult:
-    node: int
-    model: np.ndarray
-    history: np.ndarray
-    outbox: Dict[int, RoundMessage]
-    inferred: Dict[int, np.ndarray]
-    accuracy: Optional[float]
-    attack: Optional[float]
-    degenerate: bool
-    direct_count: int
+    rule: str  # aggregation rule
+    epochs: int  # local training epochs
+    relays: bool  # whether its messages carry a gossiped record
 
 
 def _build_datasets(cfg: SimulationConfig) -> Tuple[LabeledDataset, LabeledDataset]:
@@ -260,18 +252,27 @@ def _receive_all(
     state: _NodeState,
     inbox: List[RoundMessage],
     verifier: Verifier,
-) -> Dict[int, np.ndarray]:
-    """Process a full inbox in sender order; returns inferred trained models."""
+) -> Tuple[Dict[int, np.ndarray], int]:
+    """Process a full inbox in sender order.
+
+    Returns the inferred trained models and the number of messages
+    rejected.  A rejected message is dropped whole: the sender's record and
+    last known history stay as they were."""
     inferred: Dict[int, np.ndarray] = {}
+    rejected = 0
     for msg in sorted(inbox, key=lambda m: m.own.origin):
         sender = msg.own.origin
-        res = receive_message(
-            msg, state.db, state.prev_known.get(sender), verifier, self_id=state.id
-        )
+        try:
+            res = receive_message(
+                msg, state.db, state.prev_known.get(sender), verifier, self_id=state.id
+            )
+        except MessageRejected:
+            rejected += 1
+            continue
         if res.trained_model is not None:
             inferred[sender] = res.trained_model
         state.prev_known[sender] = (res.round, res.history)
-    return inferred
+    return inferred, rejected
 
 
 def _aggregate(
@@ -280,7 +281,7 @@ def _aggregate(
     inferred: Dict[int, np.ndarray],
     sizes: Dict[int, int],
 ) -> Tuple[np.ndarray, bool]:
-    """One node's aggregation under the configured rule.
+    """One node's aggregation under its rule.
 
     With no neighbor model available yet (bootstrap rounds, isolation) every
     rule degrades to keeping the own model.  Returns (vector, degenerate
@@ -289,7 +290,7 @@ def _aggregate(
     direct_ids = sorted(inferred)
     if not direct_ids:
         return state.model.copy(), False
-    name = cfg.aggregator
+    name = state.rule
     own_models = [state.model] + [inferred[j] for j in direct_ids]
     if name == "fedavg":
         counts = [max(1, sizes[state.id])] + [max(1, sizes[j]) for j in direct_ids]
@@ -352,27 +353,51 @@ def _aggregate(
 
 
 def _compose_outbox(
-    state: _NodeState, history: np.ndarray, rnd: int, lam: float, seed: int
+    state: _NodeState, rnd: int, lam: float, seed: int
 ) -> Dict[int, RoundMessage]:
     rng = _stream(seed, _GOSSIP, state.id, rnd)
     outbox = {}
     for j in state.neighbors:
-        selected = select_gossip(filter_db(state.db, state.id, j), lam, rng)
-        outbox[j] = compose_message(history, rnd, selected, state.signer)
+        selected = None
+        if state.relays:
+            selected = select_gossip(filter_db(state.db, state.id, j), lam, rng)
+        outbox[j] = compose_message(state.history, rnd, selected, state.signer)
     return outbox
+
+
+def _evaluate(
+    model: Model, test_set: LabeledDataset, spec
+) -> Tuple[float, Optional[float]]:
+    """Test accuracy and, under an attack, the attack score of one model."""
+    accuracy = evaluate_accuracy(model, test_set)
+    return accuracy, attack_score(model, test_set, spec) if spec is not None else None
+
+
+def build_network(cfg: SimulationConfig) -> Tuple[Optional[SSPPlan], Topology]:
+    """The attack plan (None without an attack) and the full network of a run.
+
+    The graph comes from ``topology.seed`` when set, else from the run seed.
+    """
+    phi = cfg.attack.phi if cfg.attack is not None else None
+    topo_seed = cfg.topology.seed if cfg.topology.seed is not None else cfg.seed
+    _, plan, full_g = build_attack_network(
+        cfg.honest_nodes, cfg.topology.radius, cfg.degree_bound, phi, topo_seed
+    )
+    return plan, full_g
 
 
 def run_simulation(
     cfg: SimulationConfig, workers: int = 1, trace: bool = False
 ) -> RunResult:
-    """Execute a full configured run; deterministic for any ``workers``."""
+    """Execute a full configured run.
+
+    Nodes step one after another in id order on the calling thread.
+    ``workers`` has no effect; it stays so that existing callers keep
+    working.
+    """
     cfg.validate()
     seed = cfg.seed
-    phi = cfg.attack.phi if cfg.attack is not None else None
-    topo_seed = cfg.topology.seed if cfg.topology.seed is not None else seed
-    honest_g, plan, full_g = build_attack_network(
-        cfg.honest_nodes, cfg.topology.radius, cfg.degree_bound, phi, topo_seed
-    )
+    plan, full_g = build_network(cfg)
     train_set, test_set = _build_datasets(cfg)
     arch = Architecture(input_dim=train_set.dim, n_classes=train_set.n_classes)
     spec = _build_attack_spec(cfg, train_set.dim)
@@ -406,7 +431,7 @@ def run_simulation(
     adjacency = full_g.adjacency()
     dim = init.params.size
 
-    def fresh_state(i: int, dataset: LabeledDataset) -> _NodeState:
+    def fresh_state(i, dataset, rule, epochs, relays) -> _NodeState:
         return _NodeState(
             id=i,
             model=init.params.copy(),
@@ -416,27 +441,34 @@ def run_simulation(
             dataset=dataset,
             signer=Signer(scheme, i, keypairs[i][0]),
             neighbors=adjacency[i],
+            rule=rule,
+            epochs=epochs,
+            relays=relays,
         )
 
+    # The adversary runs the honest loop with FedAvg on poisoned data: one
+    # designated Sybil aggregates what it received and trains, and every
+    # other Sybil sends copies of that model's history.
     honest_ids = sorted(full_g.honest)
-    nodes = {i: fresh_state(i, parts[i]) for i in honest_ids}
+    sybil_ids = sorted(full_g.sybils)
+    designated = sybil_ids[0] if sybil_ids else None
+    adversary_epochs = (
+        cfg.adversary_epochs
+        if cfg.adversary_epochs is not None
+        else cfg.train.local_epochs
+    )
+    nodes = {
+        i: fresh_state(i, parts[i], cfg.aggregator, cfg.train.local_epochs, True)
+        for i in honest_ids
+    }
     sizes = {i: len(parts[i]) for i in honest_ids}
-
-    adversary = None
-    if plan is not None:
-        sybil_ids = sorted(full_g.sybils)
-        adversary = _AdversaryState(
-            sybil_ids=sybil_ids,
-            designated=sybil_ids[0],
-            model=init.params.copy(),
-            history=np.zeros(dim),
-            dataset=poisoned,
-            per_sybil={s: fresh_state(s, poisoned) for s in sybil_ids},
+    for s in sybil_ids:
+        nodes[s] = fresh_state(
+            s, poisoned, "fedavg", adversary_epochs, cfg.gossip.sybils_gossip
         )
-        for s in sybil_ids:
-            sizes[s] = len(poisoned)
+        sizes[s] = len(poisoned)
 
-    offline: Dict[int, set] = {i: set() for i in honest_ids}
+    offline: Dict[int, set] = {i: set() for i in all_ids}
     for entry in cfg.downtime:
         offline[entry.node].update(range(entry.start, entry.start + entry.length))
 
@@ -445,195 +477,89 @@ def run_simulation(
     inferred_trace: List[Tuple[int, int, int, np.ndarray]] = []
     direct_counts: Dict[Tuple[int, int], int] = {}
 
-    inboxes: Dict[int, List[RoundMessage]] = {i: [] for i in all_ids}
-    metrics: List[RoundMetrics] = []
-    message_counts: List[int] = []
-
-    adversary_epochs = (
-        cfg.adversary_epochs
-        if cfg.adversary_epochs is not None
-        else cfg.train.local_epochs
-    )
-
-    def honest_step(i: int, rnd: int) -> Optional[_StepResult]:
-        state = nodes[i]
-        if rnd in offline[i]:
-            return None
-        inferred = _receive_all(state, inboxes[i], verifier)
-        if rnd - 1 in offline[i]:
-            # recovery round: collect only, resume fully next round
-            return _StepResult(
-                node=i,
-                model=state.model,
-                history=state.history,
-                outbox={},
-                inferred=inferred,
-                accuracy=None,
-                attack=None,
-                degenerate=False,
-                direct_count=-1,
-            )
-        aggregated, degenerate = _aggregate(cfg, state, inferred, sizes)
-        agg_model = Model(aggregated, arch)
-        accuracy = evaluate_accuracy(agg_model, test_set)
-        attack = attack_score(agg_model, test_set, spec) if spec is not None else None
+    def train(state: _NodeState, start: Model, rnd: int) -> None:
+        """Train from ``start`` on the node's data and extend its history."""
+        trained = start.params
         if len(state.dataset) > 0:
             tcfg = TrainConfig(
                 learning_rate=cfg.train.learning_rate,
-                local_epochs=cfg.train.local_epochs,
+                local_epochs=state.epochs,
                 batch_size=cfg.train.batch_size,
-                seed=_train_seed(seed, _TRAIN, i, rnd),
+                seed=_train_seed(seed, _TRAIN, state.id, rnd),
             )
-            trained = train_sgd(agg_model, state.dataset, tcfg).params
-        else:
-            trained = aggregated
-        w = _quantize(trained)
-        history = state.history + w
-        outbox = _compose_outbox(state, history, rnd, cfg.gossip.lam, seed)
-        return _StepResult(
-            node=i,
-            model=w,
-            history=history,
-            outbox=outbox,
-            inferred=inferred,
-            accuracy=accuracy,
-            attack=attack,
-            degenerate=degenerate,
-            direct_count=len(inferred),
-        )
+            try:
+                trained = train_sgd(start, state.dataset, tcfg).params
+            except NumericFailure as exc:
+                raise NumericFailure(f"node {state.id} round {rnd}: {exc}") from exc
+        state.model = _quantize(trained)
+        if not np.all(np.isfinite(state.model)):
+            raise NumericFailure(
+                f"node {state.id} round {rnd}: trained model overflows the history grid"
+            )
+        state.history = state.history + state.model
 
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for rnd in range(cfg.rounds):
-            if pool is None:
-                honest_results = [honest_step(i, rnd) for i in honest_ids]
-            else:
-                honest_results = list(
-                    pool.map(lambda i: honest_step(i, rnd), honest_ids)
-                )
+    inboxes: Dict[int, List[RoundMessage]] = {i: [] for i in all_ids}
+    metrics: List[RoundMetrics] = []
+    message_counts: List[int] = []
+    rejected_counts: List[int] = []
 
-            sybil_inferred: Dict[int, Dict[int, np.ndarray]] = {}
-            if adversary is not None:
-                for s in adversary.sybil_ids:
-                    sybil_inferred[s] = _receive_all(
-                        adversary.per_sybil[s], inboxes[s], verifier
+    for rnd in range(cfg.rounds):
+        next_inboxes: Dict[int, List[RoundMessage]] = {i: [] for i in all_ids}
+        scores: List[Tuple[float, Optional[float]]] = []
+        composed = rejected = degenerates = 0
+        for i in all_ids:
+            state = nodes[i]
+            honest = i in full_g.honest
+            if rnd in offline[i]:
+                activity[i][rnd] = "offline"
+                scores.append(_evaluate(Model(state.model, arch), test_set, spec))
+                continue
+            inferred, dropped = _receive_all(state, inboxes[i], verifier)
+            rejected += dropped
+            if trace:
+                for sender, vec in sorted(inferred.items()):
+                    inferred_trace.append(
+                        (i, sender, state.prev_known[sender][0], vec.copy())
                     )
-
-            # apply honest results in id order
-            accs, atks, degenerates = [], [], 0
-            for i, result in zip(honest_ids, honest_results):
-                if result is None:
-                    activity[i][rnd] = "offline"
-                    accs.append(evaluate_accuracy(Model(nodes[i].model, arch), test_set))
-                    if spec is not None:
-                        atks.append(
-                            attack_score(Model(nodes[i].model, arch), test_set, spec)
-                        )
-                    continue
-                state = nodes[i]
-                if result.direct_count < 0:
-                    activity[i][rnd] = "recovery"
-                    accs.append(evaluate_accuracy(Model(state.model, arch), test_set))
-                    if spec is not None:
-                        atks.append(
-                            attack_score(Model(state.model, arch), test_set, spec)
-                        )
-                else:
+            if rnd - 1 in offline[i]:
+                # recovery round: collect only, resume fully next round
+                activity[i][rnd] = "recovery"
+                scores.append(_evaluate(Model(state.model, arch), test_set, spec))
+                continue
+            if honest or i == designated:
+                aggregated, degenerate = _aggregate(cfg, state, inferred, sizes)
+                start = Model(aggregated, arch)
+                if honest:
                     activity[i][rnd] = "active"
-                    state.model = result.model
-                    state.history = result.history
-                    accs.append(result.accuracy)
-                    if result.attack is not None:
-                        atks.append(result.attack)
-                    degenerates += result.degenerate
+                    scores.append(_evaluate(start, test_set, spec))
+                    degenerates += degenerate
                     if trace:
-                        trained_trace[(i, rnd)] = result.model.copy()
-                        direct_counts[(i, rnd)] = result.direct_count
-                if trace:
-                    for sender, vec in sorted(result.inferred.items()):
-                        inferred_trace.append(
-                            (i, sender, state.prev_known[sender][0], vec.copy())
-                        )
-
-            # adversary: aggregate at one designated Sybil, train once, share
-            sybil_outboxes: Dict[int, Dict[int, RoundMessage]] = {}
-            if adversary is not None:
-                des = adversary.designated
-                inferred = sybil_inferred[des]
-                pairs = [(adversary.model, max(1, sizes[des]))]
-                pairs += [
-                    (inferred[j], max(1, sizes[j])) for j in sorted(inferred)
-                ]
-                intermediary = fedavg(pairs)
-                if len(adversary.dataset) > 0:
-                    tcfg = TrainConfig(
-                        learning_rate=cfg.train.learning_rate,
-                        local_epochs=adversary_epochs,
-                        batch_size=cfg.train.batch_size,
-                        seed=_train_seed(seed, _TRAIN, des, rnd),
-                    )
-                    trained = train_sgd(
-                        Model(intermediary, arch), adversary.dataset, tcfg
-                    ).params
-                else:
-                    trained = intermediary
-                w = _quantize(trained)
-                adversary.model = w
-                adversary.history = adversary.history + w
-                for s in adversary.sybil_ids:
-                    state = adversary.per_sybil[s]
-                    state.model = w
-                    state.history = adversary.history
-                    if trace:
-                        trained_trace[(s, rnd)] = w.copy()
-                        for sender, vec in sorted(sybil_inferred[s].items()):
-                            inferred_trace.append(
-                                (s, sender, state.prev_known[sender][0], vec.copy())
-                            )
-                    if cfg.gossip.sybils_gossip:
-                        sybil_outboxes[s] = _compose_outbox(
-                            state, adversary.history, rnd, cfg.gossip.lam, seed
-                        )
-                    else:
-                        sybil_outboxes[s] = {
-                            j: compose_message(
-                                adversary.history, rnd, None, state.signer
-                            )
-                            for j in state.neighbors
-                        }
-
+                        direct_counts[(i, rnd)] = len(inferred)
+                train(state, start, rnd)
+            else:
+                state.model = nodes[designated].model
+                state.history = nodes[designated].history
+            if trace:
+                trained_trace[(i, rnd)] = state.model.copy()
+            outbox = _compose_outbox(state, rnd, cfg.gossip.lam, seed)
+            composed += len(outbox)
             # deliver for next round, dropping mail to offline nodes
-            composed = sum(
-                len(r.outbox) for r in honest_results if r is not None
-            ) + sum(len(o) for o in sybil_outboxes.values())
-            message_counts.append(composed)
-            new_inboxes: Dict[int, List[RoundMessage]] = {i: [] for i in all_ids}
-            for i, result in zip(honest_ids, honest_results):
-                if result is None:
-                    continue
-                for j, msg in result.outbox.items():
-                    if j in offline and rnd + 1 in offline[j]:
-                        continue
-                    new_inboxes[j].append(msg)
-            for s, outbox in sybil_outboxes.items():
-                for j, msg in outbox.items():
-                    if j in offline and rnd + 1 in offline[j]:
-                        continue
-                    new_inboxes[j].append(msg)
-            inboxes = new_inboxes
+            for j, msg in outbox.items():
+                if rnd + 1 not in offline[j]:
+                    next_inboxes[j].append(msg)
+        inboxes = next_inboxes
+        message_counts.append(composed)
+        rejected_counts.append(rejected)
 
-            mean_attack = float(np.mean(atks)) if atks else float("nan")
-            metrics.append(
-                RoundMetrics(
-                    round=rnd,
-                    mean_accuracy=float(np.mean(accs)),
-                    mean_attack_score=mean_attack,
-                    degenerate_nodes=degenerates,
-                )
+        atks = [atk for _, atk in scores if atk is not None]
+        metrics.append(
+            RoundMetrics(
+                round=rnd,
+                mean_accuracy=float(np.mean([acc for acc, _ in scores])),
+                mean_attack_score=float(np.mean(atks)) if atks else float("nan"),
+                degenerate_nodes=degenerates,
             )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        )
 
     final_models = {i: nodes[i].model.copy() for i in honest_ids}
     final_histories = {i: nodes[i].history.copy() for i in honest_ids}
@@ -646,6 +572,7 @@ def run_simulation(
         final_histories=final_histories,
         activity=activity,
         message_counts=message_counts,
+        rejected_counts=rejected_counts,
         trained_trace=trained_trace if trace else None,
         inferred_trace=inferred_trace if trace else None,
         direct_counts=direct_counts if trace else None,

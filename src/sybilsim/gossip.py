@@ -1,4 +1,4 @@
-"""Signed model-history gossip: databases, selection, wire format, inference.
+"""Signed model-history gossip: databases, selection, signatures, inference.
 
 Each node keeps one history record per known origin and forwards a
 randomly selected record to every neighbor each round, preferring records
@@ -6,11 +6,8 @@ gathered close by.  Receivers recover a sender's trained model as the
 difference of its two most recent histories, which removes the need to
 transmit raw models at all.
 
-Wire layout, little-endian throughout (golden-tested):
-    block   = u32 origin | u32 round | u32 vec_len | f64 * vec_len | u16 sig_len | sig
-    message = own block | flag u8 | [gossip block | u32 gossip_distance] when flag = 1
-The signature covers the block minus its signature fields: origin, round,
-length, then the raw history values.
+A signature covers, little-endian: u32 origin | u32 round | u32 vec_len |
+f64 * vec_len, the raw history values last.
 """
 
 from __future__ import annotations
@@ -36,11 +33,7 @@ class MessageRejected(RuntimeError):
 
 
 class ComposeFailure(RuntimeError):
-    """Signing or encoding failed while building an outgoing message."""
-
-
-class WireFormatError(ValueError):
-    """Bytes on the wire do not parse as a round message."""
+    """Signing failed while building an outgoing message."""
 
 
 @dataclass(frozen=True)
@@ -373,72 +366,3 @@ def receive_message(
         trained_model=trained,
         db_changes=changes,
     )
-
-
-# --- wire format -----------------------------------------------------------
-
-
-def encode_block(block: SignedHistory) -> bytes:
-    values = np.ascontiguousarray(block.history, dtype="<f8")
-    if not 0 <= block.origin < 2 ** 32 or not 0 <= block.round < 2 ** 32:
-        raise WireFormatError("origin and round must fit in u32")
-    if len(block.signature) >= 2 ** 16:
-        raise WireFormatError("signature too long for u16 length")
-    return (
-        struct.pack("<III", block.origin, block.round, values.size)
-        + values.tobytes()
-        + struct.pack("<H", len(block.signature))
-        + block.signature
-    )
-
-
-def decode_block(buf: bytes, offset: int) -> Tuple[SignedHistory, int]:
-    try:
-        origin, round_no, length = struct.unpack_from("<III", buf, offset)
-        offset += 12
-        values = np.frombuffer(buf, dtype="<f8", count=length, offset=offset).copy()
-        offset += 8 * length
-        (sig_len,) = struct.unpack_from("<H", buf, offset)
-        offset += 2
-        signature = bytes(buf[offset : offset + sig_len])
-        if len(signature) != sig_len:
-            raise ValueError("truncated signature")
-        offset += sig_len
-    except (struct.error, ValueError) as exc:
-        raise WireFormatError(f"malformed block at byte {offset}: {exc}") from exc
-    return SignedHistory(values, origin, round_no, signature), offset
-
-
-def encode_message(msg: RoundMessage) -> bytes:
-    out = encode_block(msg.own)
-    if msg.gossiped is None:
-        return out + b"\x00"
-    return (
-        out
-        + b"\x01"
-        + encode_block(msg.gossiped)
-        + struct.pack("<I", msg.gossip_distance)
-    )
-
-
-def decode_message(buf: bytes) -> RoundMessage:
-    own, offset = decode_block(buf, 0)
-    if offset >= len(buf):
-        raise WireFormatError("missing gossip flag byte")
-    flag = buf[offset]
-    offset += 1
-    if flag == 0:
-        if offset != len(buf):
-            raise WireFormatError(f"{len(buf) - offset} trailing bytes")
-        return RoundMessage(own=own)
-    if flag != 1:
-        raise WireFormatError(f"bad gossip flag {flag}")
-    gossiped, offset = decode_block(buf, offset)
-    try:
-        (distance,) = struct.unpack_from("<I", buf, offset)
-    except struct.error as exc:
-        raise WireFormatError("truncated gossip distance") from exc
-    offset += 4
-    if offset != len(buf):
-        raise WireFormatError(f"{len(buf) - offset} trailing bytes")
-    return RoundMessage(own=own, gossiped=gossiped, gossip_distance=distance)

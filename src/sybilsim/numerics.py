@@ -1,8 +1,7 @@
 """Dense model arithmetic: tiny classifiers, SGD training, and evaluation.
 
-Models are flat float64 parameter vectors paired with an architecture
-descriptor.  Two architectures are supported: plain softmax regression and a
-one-hidden-layer ReLU network.  All operations are pure functions over
+Models are flat float64 parameter vectors of softmax regression, paired with
+an architecture descriptor.  All operations are pure functions over
 immutable inputs; RNG state is derived from caller-supplied seeds, never
 global.
 """
@@ -10,7 +9,6 @@ global.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -21,24 +19,18 @@ class NumericFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class Architecture:
-    """Shape of a classifier: ``hidden is None`` means softmax regression."""
+    """Shape of a softmax-regression classifier."""
 
     input_dim: int
     n_classes: int
-    hidden: Optional[int] = None
 
     def __post_init__(self):
         if self.input_dim < 1 or self.n_classes < 2:
             raise ValueError("architecture needs input_dim >= 1 and n_classes >= 2")
-        if self.hidden is not None and self.hidden < 1:
-            raise ValueError("hidden width must be >= 1")
 
     @property
     def param_count(self) -> int:
-        if self.hidden is None:
-            return (self.input_dim + 1) * self.n_classes
-        h = self.hidden
-        return h * self.input_dim + h + self.n_classes * h + self.n_classes
+        return (self.input_dim + 1) * self.n_classes
 
 
 @dataclass(frozen=True)
@@ -84,45 +76,19 @@ def init_model(arch: Architecture, seed: int) -> Model:
     Weights are Gaussian scaled by 1/sqrt(fan_in); biases start at zero.
     """
     rng = np.random.default_rng(seed)
-    if arch.hidden is None:
-        w = rng.normal(0.0, 1.0, (arch.n_classes, arch.input_dim)) / np.sqrt(arch.input_dim)
-        b = np.zeros(arch.n_classes)
-        params = np.concatenate([w.ravel(), b])
-    else:
-        h = arch.hidden
-        w1 = rng.normal(0.0, 1.0, (h, arch.input_dim)) * np.sqrt(2.0 / arch.input_dim)
-        b1 = np.zeros(h)
-        w2 = rng.normal(0.0, 1.0, (arch.n_classes, h)) * np.sqrt(2.0 / h)
-        b2 = np.zeros(arch.n_classes)
-        params = np.concatenate([w1.ravel(), b1, w2.ravel(), b2])
-    return Model(params, arch)
+    w = rng.normal(0.0, 1.0, (arch.n_classes, arch.input_dim)) / np.sqrt(arch.input_dim)
+    b = np.zeros(arch.n_classes)
+    return Model(np.concatenate([w.ravel(), b]), arch)
 
 
 def _unpack(params: np.ndarray, arch: Architecture):
     d, c = arch.input_dim, arch.n_classes
-    if arch.hidden is None:
-        w = params[: c * d].reshape(c, d)
-        b = params[c * d :]
-        return w, b
-    h = arch.hidden
-    off = 0
-    w1 = params[off : off + h * d].reshape(h, d)
-    off += h * d
-    b1 = params[off : off + h]
-    off += h
-    w2 = params[off : off + c * h].reshape(c, h)
-    off += c * h
-    b2 = params[off :]
-    return w1, b1, w2, b2
+    return params[: c * d].reshape(c, d), params[c * d :]
 
 
 def _logits(params: np.ndarray, arch: Architecture, x: np.ndarray) -> np.ndarray:
-    if arch.hidden is None:
-        w, b = _unpack(params, arch)
-        return x @ w.T + b
-    w1, b1, w2, b2 = _unpack(params, arch)
-    a = np.maximum(x @ w1.T + b1, 0.0)
-    return a @ w2.T + b2
+    w, b = _unpack(params, arch)
+    return x @ w.T + b
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
@@ -140,28 +106,13 @@ def cross_entropy_loss(model: Model, data) -> float:
 def _gradient(params: np.ndarray, arch: Architecture, x: np.ndarray, y: np.ndarray):
     """Analytic mean cross-entropy gradient for one mini-batch."""
     n = len(y)
-    if arch.hidden is None:
-        w, b = _unpack(params, arch)
-        z = x @ w.T + b
-        logp = _log_softmax(z)
-        p = np.exp(logp)
-        p[np.arange(n), y] -= 1.0
-        p /= n
-        grad = np.concatenate([(p.T @ x).ravel(), p.sum(axis=0)])
-    else:
-        w1, b1, w2, b2 = _unpack(params, arch)
-        pre = x @ w1.T + b1
-        a = np.maximum(pre, 0.0)
-        z = a @ w2.T + b2
-        logp = _log_softmax(z)
-        p = np.exp(logp)
-        p[np.arange(n), y] -= 1.0
-        p /= n
-        da = p @ w2
-        dpre = da * (pre > 0.0)
-        grad = np.concatenate(
-            [(dpre.T @ x).ravel(), dpre.sum(axis=0), (p.T @ a).ravel(), p.sum(axis=0)]
-        )
+    w, b = _unpack(params, arch)
+    z = x @ w.T + b
+    logp = _log_softmax(z)
+    p = np.exp(logp)
+    p[np.arange(n), y] -= 1.0
+    p /= n
+    grad = np.concatenate([(p.T @ x).ravel(), p.sum(axis=0)])
     loss = float(-logp[np.arange(n), y].mean())
     return grad, loss
 

@@ -89,15 +89,6 @@ class Topology:
             "degree_bound": self.degree_bound,
         }
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "Topology":
-        return cls(
-            honest=frozenset(obj["nodes"]),
-            sybils=frozenset(obj.get("sybils", [])),
-            edges=frozenset(tuple(e) for e in obj["edges"]),
-            degree_bound=int(obj["degree_bound"]),
-        )
-
 
 def _is_connected(nodes: Iterable[int], adj: Dict[int, list[int]]) -> bool:
     nodes = set(nodes)

@@ -12,6 +12,7 @@ import pytest
 
 from sybilsim.aggregation import (
     ContributionSet,
+    apply_weights,
     coordinate_median,
     enhance_krum_filter,
     enhance_median,
@@ -21,7 +22,6 @@ from sybilsim.aggregation import (
     krum_score,
     krum_select,
     multi_krum,
-    sybilwall_aggregate,
     sybilwall_weights,
     weighted_average,
 )
@@ -308,7 +308,8 @@ class TestSybilwallWeights:
             [5.0, 5.0, 5.0],
             [(1, [9.0, 9.0, 9.0], shared), (2, [9.0, 9.0, 9.0], shared.copy())],
         )
-        out = sybilwall_aggregate(c)
+        weights, _ = sybilwall_weights(c)
+        out = apply_weights(c, weights)
         assert out == pytest.approx([5.0, 5.0, 5.0])
 
     def test_indirect_clone_suppresses_direct(self):
@@ -338,7 +339,7 @@ class TestSybilwallWeights:
             weights, _ = sybilwall_weights(c, kappa=2.0)
             assert all(w >= 0.0 for w in weights.values())
             assert sum(weights.values()) == pytest.approx(1.0)
-            out = sybilwall_aggregate(c, kappa=2.0)
+            out = apply_weights(c, weights)
             models = np.stack([c.own[1]] + [m for _, m, _ in c.direct])
             assert np.all(out >= models.min(axis=0) - 1e-12)
             assert np.all(out <= models.max(axis=0) + 1e-12)
@@ -481,12 +482,13 @@ class TestDispatch:
              (2, rng.normal(size=3), rng.normal(size=3))],
         )
         weights, _ = sybilwall_weights(c)
-        assert sybilwall_aggregate(c) == pytest.approx(weighted_average(c, weights))
+        assert apply_weights(c, weights) == pytest.approx(weighted_average(c, weights))
 
     def test_unknown_enhancement_rejected(self):
         c = _cset([0.0], [(1, [1.0], [1.0])])
+        weights, _ = sybilwall_weights(c)
         with pytest.raises(ValueError, match="unknown"):
-            sybilwall_aggregate(c, enhancement="trimmed")
+            apply_weights(c, weights, enhancement="trimmed")
 
 
 class TestContributionSet:

@@ -12,6 +12,8 @@ import pytest
 
 import sybilsim
 from sybilsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from sybilsim.config import load_config
+from sybilsim.engine import run_simulation
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -97,11 +99,6 @@ class TestValidate:
         path.write_text(BASE_YAML.replace("fedavg", "trimmed"))
         assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
 
-    def test_invalid_worker_count(self, config_file, monkeypatch, capsys):
-        monkeypatch.setenv("SYBILSIM_WORKERS", "0")
-        assert main(["validate", "--config", config_file]) == EXIT_CONFIG
-        assert "workers" in capsys.readouterr().err
-
 
 class TestRun:
     def test_writes_metrics_and_manifest(self, config_file, tmp_path, capsys):
@@ -126,7 +123,7 @@ class TestRun:
     def test_repeat_runs_are_byte_identical(self, config_file, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         main(["run", "--config", config_file, "--out-dir", str(a)])
-        main(["run", "--config", config_file, "--out-dir", str(b), "--workers", "3"])
+        main(["run", "--config", config_file, "--out-dir", str(b)])
         assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
 
     def test_out_dir_env_fallback(self, config_file, tmp_path, monkeypatch):
@@ -268,6 +265,27 @@ class TestTopologyCommand:
         assert plan["scenario"] in ("dense", "sparse", "distributed")
         topo = json.loads((out / "topology.json").read_text())
         assert len(topo["sybils"]) >= 1
+
+    @pytest.mark.parametrize("topology_seed", [None, 5])
+    def test_edges_match_the_simulated_network(
+        self, attack_config_file, tmp_path, topology_seed
+    ):
+        path = Path(attack_config_file)
+        if topology_seed is not None:
+            path.write_text(
+                path.read_text().replace(
+                    "  radius: 0.7\n", f"  radius: 0.7\n  seed: {topology_seed}\n"
+                )
+            )
+        out = tmp_path / "topo"
+        args = ["--config", str(path), "--seed", "3", "--out-dir", str(out)]
+        assert main(["topology"] + args) == EXIT_OK
+        written = json.loads((out / "topology.json").read_text())["edges"]
+        cfg = load_config(str(path))
+        assert cfg.topology.seed == topology_seed
+        cfg.seed = 3
+        simulated = run_simulation(cfg).topology.edges
+        assert sorted(map(tuple, written)) == sorted(simulated)
 
 
 def declared_console_script(name):

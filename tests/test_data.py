@@ -50,21 +50,6 @@ class TestLabeledDataset:
         np.testing.assert_array_equal(sub.labels, [0, 0])
         np.testing.assert_array_equal(sub.features[0], [4.0, 5.0])
 
-    def test_json_round_trip(self, tmp_path):
-        data = LabeledDataset([[0.25, 0.5], [0.75, 1.0]], [1, 0], 3)
-        path = tmp_path / "d.json"
-        data.save_json(path)
-        back = LabeledDataset.load_json(path)
-        np.testing.assert_array_equal(back.features, data.features)
-        np.testing.assert_array_equal(back.labels, data.labels)
-        assert back.n_classes == 3
-
-    def test_from_json_infers_class_count(self):
-        back = LabeledDataset.from_json_dict(
-            {"features": [[0.0], [0.0]], "labels": [0, 4]}
-        )
-        assert back.n_classes == 5
-
 
 class TestSynthBlobs:
     def test_two_samples_one_per_label(self):

@@ -1,9 +1,10 @@
 """End-to-end behaviour of the synchronous round engine.
 
 These tests run small simulations and check the global invariants the
-engine promises: bit-identical reruns for any worker count, lossless
-message accounting, exact history reconstruction on the receiver side,
-and the offline / recovery lifecycle.
+engine promises: bit-identical reruns, lossless message accounting,
+dropping of messages that fail verification, exact history
+reconstruction on the receiver side, and the offline / recovery
+lifecycle.
 """
 
 import json
@@ -27,8 +28,20 @@ from sybilsim.engine import (
     CSV_HEADER,
     HISTORY_GRID,
     _adversary_draw,
+    _NodeState,
+    _receive_all,
     run_simulation,
 )
+from sybilsim.gossip import (
+    Blake2Scheme,
+    HistoryDB,
+    RoundMessage,
+    SignedHistory,
+    Signer,
+    Verifier,
+    compose_message,
+)
+from sybilsim.numerics import NumericFailure
 
 
 def _cfg(**over):
@@ -84,16 +97,6 @@ class TestDeterminism:
             assert np.array_equal(a.final_models[i], b.final_models[i])
             assert np.array_equal(a.final_histories[i], b.final_histories[i])
 
-    def test_worker_count_does_not_change_results(self):
-        serial = run_simulation(_cfg(), workers=1)
-        threaded = run_simulation(_cfg(), workers=4)
-        assert serial.metrics_csv() == threaded.metrics_csv()
-        for i in serial.final_models:
-            assert np.array_equal(serial.final_models[i], threaded.final_models[i])
-            assert np.array_equal(
-                serial.final_histories[i], threaded.final_histories[i]
-            )
-
     def test_seed_changes_results(self):
         a = run_simulation(_cfg(seed=11))
         b = run_simulation(_cfg(seed=12))
@@ -133,6 +136,97 @@ class TestMessageAccounting:
         assert res.message_counts[3] == full - deg  # offline: silent
         assert res.message_counts[4] == full - deg  # recovery: collect only
         assert res.message_counts[5] == full
+
+
+def _tampered_run(monkeypatch, tamper, rounds=8):
+    """Run with node 0's outgoing messages passed through ``tamper``."""
+    import sybilsim.engine as engine
+
+    compose = engine.compose_message
+
+    def wrapped(history, round_no, selected, signer):
+        msg = compose(history, round_no, selected, signer)
+        return tamper(msg) if signer.node_id == 0 else msg
+
+    monkeypatch.setattr(engine, "compose_message", wrapped)
+    return run_simulation(_cfg(rounds=rounds), trace=True)
+
+
+def _rounds_inferred_from(res, sender):
+    return {r for (_, s, r, _) in res.inferred_trace if s == sender}
+
+
+class TestRejectedMessages:
+    """A message that fails verification is dropped whole and counted; the
+    run goes on, and the receiver keeps what it knew about the sender."""
+
+    def test_forged_history_is_dropped_and_counted(self, monkeypatch):
+        def forge(msg):
+            if msg.own.round != 3:
+                return msg
+            altered = msg.own.history.copy()
+            altered[0] += 1.0
+            own = SignedHistory(altered, msg.own.origin, 3, msg.own.signature)
+            return RoundMessage(own, msg.gossiped, msg.gossip_distance)
+
+        res = _tampered_run(monkeypatch, forge)
+        deg = len(res.topology.neighbors(0))
+        assert deg > 0
+        assert len(res.metrics) == res.config.rounds
+        assert res.rejected_counts == [0, 0, 0, 0, deg, 0, 0, 0]
+        # round 3 never arrived, so round 4 has no predecessor to diff against
+        assert _rounds_inferred_from(res, 0) == {1, 2, 5, 6}
+        for _, sender, rnd, vec in res.inferred_trace:
+            assert np.array_equal(vec, res.trained_trace[(sender, rnd)])
+
+    def test_replayed_older_round_is_dropped_and_counted(self, monkeypatch):
+        sent = {}
+
+        def replay(msg):
+            sent[msg.own.round] = msg
+            return sent[3] if msg.own.round == 5 else msg
+
+        res = _tampered_run(monkeypatch, replay, rounds=9)
+        deg = len(res.topology.neighbors(0))
+        assert res.rejected_counts == [0, 0, 0, 0, 0, 0, deg, 0, 0]
+        # receivers still hold round 4, so round 6 cannot be diffed but 7 can
+        assert _rounds_inferred_from(res, 0) == {1, 2, 3, 4, 7}
+        for _, sender, rnd, vec in res.inferred_trace:
+            assert np.array_equal(vec, res.trained_trace[(sender, rnd)])
+
+    def test_receiver_keeps_its_state_for_a_rejected_sender(self):
+        scheme = Blake2Scheme()
+        keys = {i: scheme.keypair(bytes([i])) for i in (1, 2, 3)}
+        verifier = Verifier(scheme, {i: pub for i, (_, pub) in keys.items()})
+        signers = {i: Signer(scheme, i, priv) for i, (priv, _) in keys.items()}
+        state = _NodeState(
+            id=3, model=np.zeros(1), history=np.zeros(1), db=HistoryDB(),
+            prev_known={1: (4, np.array([2.0]))}, dataset=None, signer=signers[3],
+            neighbors=[1, 2], rule="fedavg", epochs=1, relays=True,
+        )
+        good = compose_message(np.array([5.0]), 5, None, signers[2])
+        sent = compose_message(np.array([7.0]), 5, None, signers[1])
+        forged = RoundMessage(SignedHistory(np.array([9.0]), 1, 5, sent.own.signature))
+        inferred, rejected = _receive_all(state, [forged, good], verifier)
+        assert rejected == 1
+        assert inferred == {}
+        assert sorted(state.db.records) == [2]
+        assert state.prev_known[1][0] == 4
+        assert np.array_equal(state.prev_known[1][1], [2.0])
+        assert state.prev_known[2][0] == 5
+
+    def test_clean_run_rejects_nothing(self):
+        res = run_simulation(_attack_cfg())
+        assert res.rejected_counts == [0] * res.config.rounds
+
+
+class TestNumericFailure:
+    @pytest.mark.parametrize("learning_rate", [1e300, 1e308])
+    def test_overflow_names_the_node_and_round(self, learning_rate):
+        train = TrainSection(learning_rate=learning_rate, local_epochs=2, batch_size=8)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericFailure, match=r"^node 0 round 0: "):
+                run_simulation(_cfg(train=train))
 
 
 class TestReconstruction:

@@ -1,5 +1,6 @@
-"""Gossip layer checks: wire bytes against hand-packed goldens, signature
-schemes, the relay filter, distance-weighted selection, and receive rules."""
+"""Gossip layer checks: signed bytes against a hand-packed golden, signature
+cover, signature schemes, the relay filter, distance-weighted selection, and
+receive rules."""
 
 import struct
 
@@ -16,12 +17,7 @@ from sybilsim.gossip import (
     SignedHistory,
     Signer,
     Verifier,
-    WireFormatError,
     compose_message,
-    decode_block,
-    decode_message,
-    encode_block,
-    encode_message,
     filter_db,
     get_scheme,
     infer_trained,
@@ -57,95 +53,35 @@ def _network(scheme, ids):
 
 
 class TestWireFormat:
-    def test_block_golden_bytes(self):
-        block = SignedHistory(np.array([1.5, -2.0]), origin=3, round=7, signature=b"AB")
-        want = (
-            struct.pack("<III", 3, 7, 2)
-            + struct.pack("<dd", 1.5, -2.0)
-            + struct.pack("<H", 2)
-            + b"AB"
-        )
-        assert encode_block(block) == want
-        back, offset = decode_block(want, 0)
-        assert offset == len(want)
-        assert back.origin == 3 and back.round == 7
-        assert np.array_equal(back.history, [1.5, -2.0])
-        assert back.signature == b"AB"
+    """The bytes a signature covers: origin, round, length, history values."""
 
     def test_payload_golden_bytes(self):
         want = struct.pack("<III", 9, 2, 1) + struct.pack("<d", 1.0)
         assert sign_payload(np.array([1.0]), 2, 9) == want
 
-    def test_message_without_gossip_ends_in_zero_flag(self):
-        msg = RoundMessage(own=SignedHistory(np.array([0.5]), 1, 4, b"x"))
-        buf = encode_message(msg)
-        assert buf[-1:] == b"\x00"
-        back = decode_message(buf)
-        assert back.gossiped is None and back.gossip_distance is None
-
-    def test_message_with_gossip_round_trip(self):
-        own = SignedHistory(np.array([0.5, 0.25]), 1, 4, b"xyz")
-        relayed = SignedHistory(np.array([8.0]), 6, 3, b"qq")
-        buf = encode_message(RoundMessage(own=own, gossiped=relayed, gossip_distance=5))
-        back = decode_message(buf)
-        assert back.own.origin == 1 and back.gossiped.origin == 6
-        assert np.array_equal(back.gossiped.history, [8.0])
-        assert back.gossip_distance == 5
-        flag_at = len(encode_block(own))
-        assert buf[flag_at] == 1
-        assert struct.unpack("<I", buf[-4:]) == (5,)
-
-    def test_bad_flag_rejected(self):
-        buf = encode_message(RoundMessage(own=SignedHistory(np.array([1.0]), 1, 1, b"s")))
-        bad = buf[:-1] + b"\x02"
-        with pytest.raises(WireFormatError, match="flag"):
-            decode_message(bad)
-
-    def test_trailing_bytes_rejected(self):
-        buf = encode_message(RoundMessage(own=SignedHistory(np.array([1.0]), 1, 1, b"s")))
-        with pytest.raises(WireFormatError, match="trailing"):
-            decode_message(buf + b"\x00")
-
-    def test_truncation_rejected(self):
-        own = SignedHistory(np.array([0.5, 0.25]), 1, 4, b"xyz")
-        relayed = SignedHistory(np.array([8.0]), 6, 3, b"qq")
-        buf = encode_message(RoundMessage(own=own, gossiped=relayed, gossip_distance=5))
-        for cut in (3, 14, len(buf) - 2):
-            with pytest.raises(WireFormatError):
-                decode_message(buf[:cut])
-
-    def test_field_limits(self):
-        with pytest.raises(WireFormatError, match="u32"):
-            encode_block(SignedHistory(np.array([1.0]), 2 ** 32, 0, b"s"))
-        with pytest.raises(WireFormatError, match="signature"):
-            encode_block(SignedHistory(np.array([1.0]), 0, 0, b"s" * 2 ** 16))
-
     def test_bit_flips_never_verify(self):
-        """Any single-bit corruption inside the signed blocks either fails to
-        parse or fails verification.  The flag byte and the distance counter
-        are deliberately outside signature cover, so they are skipped."""
+        """Any single-bit change to a signed field, in the own block or the
+        relayed one, fails verification."""
         scheme = Blake2Scheme()
         signers, keys = _network(scheme, [1, 6])
         relayed_hist = np.array([8.0, -1.0])
         relayed_sig = signers[6].sign(relayed_hist, 3)
         record = HistoryRecord(6, relayed_hist, 3, 2, forwarder=4, signature=relayed_sig)
         msg = compose_message(np.array([0.5]), 4, record, signers[1])
-        buf = encode_message(msg)
-        flag_at = len(encode_block(msg.own))
-        skip = {flag_at} | set(range(len(buf) - 4, len(buf)))
-        for pos in range(len(buf)):
-            if pos in skip:
-                continue
-            corrupt = bytearray(buf)
-            corrupt[pos] ^= 1
-            try:
-                decoded = decode_message(bytes(corrupt))
-            except WireFormatError:
-                continue
-            ok = keys.check(decoded.own) and (
-                decoded.gossiped is None or keys.check(decoded.gossiped)
-            )
-            assert not ok, f"corrupt byte {pos} still verifies"
+        for block in (msg.own, msg.gossiped):
+            assert keys.check(block)
+            raw = block.history.tobytes()
+            for bit in range(8 * len(raw)):
+                corrupt = bytearray(raw)
+                corrupt[bit // 8] ^= 1 << (bit % 8)
+                history = np.frombuffer(bytes(corrupt), dtype=np.float64)
+                forged = SignedHistory(history, block.origin, block.round, block.signature)
+                assert not keys.check(forged), f"history bit {bit} still verifies"
+            for bit in range(32):
+                moved = SignedHistory(
+                    block.history, block.origin, block.round ^ (1 << bit), block.signature
+                )
+                assert not keys.check(moved), f"round bit {bit} still verifies"
 
 
 class TestSchemes:

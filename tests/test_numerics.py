@@ -33,17 +33,11 @@ class TestArchitecture:
     def test_softmax_param_count(self):
         assert Architecture(4, 3).param_count == (4 + 1) * 3
 
-    def test_hidden_param_count(self):
-        arch = Architecture(4, 3, hidden=5)
-        assert arch.param_count == 5 * 4 + 5 + 3 * 5 + 3
-
     def test_rejects_degenerate_shapes(self):
         with pytest.raises(ValueError):
             Architecture(0, 3)
         with pytest.raises(ValueError):
             Architecture(4, 1)
-        with pytest.raises(ValueError):
-            Architecture(4, 3, hidden=0)
 
 
 class TestModel:
@@ -60,7 +54,7 @@ class TestModel:
             Model(bad, arch)
 
     def test_init_deterministic(self):
-        arch = Architecture(6, 4, hidden=3)
+        arch = Architecture(6, 4)
         a = init_model(arch, 99)
         b = init_model(arch, 99)
         np.testing.assert_array_equal(a.params, b.params)
@@ -71,10 +65,9 @@ class TestModel:
 class TestGradient:
     """The analytic gradient must match central finite differences."""
 
-    @pytest.mark.parametrize("hidden", [None, 4])
-    def test_matches_finite_differences(self, hidden):
+    def test_matches_finite_differences(self):
         rng = np.random.default_rng(7)
-        arch = Architecture(3, 4, hidden=hidden)
+        arch = Architecture(3, 4)
         data = _random_data(rng, 11, 3, 4)
         params = rng.normal(size=arch.param_count)
         x, y = data.features, data.labels

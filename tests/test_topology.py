@@ -47,11 +47,6 @@ class TestTopology:
         assert t.degree(0) == 3
         assert t.degree(1) == 1
 
-    def test_json_round_trip(self):
-        t = Topology(frozenset({0, 1, 2}), frozenset({3}), {(0, 1), (1, 2), (3, 0)}, 5)
-        back = Topology.from_json_dict(t.to_json_dict())
-        assert back == t
-
 
 class TestValidateTopology:
     def test_accepts_sound_graph(self):
