@@ -204,6 +204,23 @@ def _require(ok: bool, path: str, problem: str) -> None:
         raise ConfigError(f"{path}: {problem}")
 
 
+# Python types a YAML scalar may have for each field type; an int is a
+# valid float, but a bool is no number even though Python counts it an int.
+_SCALAR_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}
+
+
+def _check_type(annotation: str, value, path: str) -> None:
+    """Reject a scalar whose type does not fit its field's annotation."""
+    optional = annotation.startswith("Optional[")
+    wanted = annotation[len("Optional["):-1] if optional else annotation
+    if value is None and optional:
+        return
+    if not isinstance(value, _SCALAR_TYPES[wanted]) or (
+        isinstance(value, bool) and wanted != "bool"
+    ):
+        raise ConfigError(f"{path}: expected {wanted}, got {type(value).__name__}")
+
+
 def _build(cls, obj, path: str):
     """Fill a config dataclass from a dict, rejecting unknown keys."""
     if not isinstance(obj, dict):
@@ -236,6 +253,7 @@ def _build(cls, obj, path: str):
                 for i, entry in enumerate(value)
             ]
         else:
+            _check_type(fields[key].type, value, sub)
             kwargs[key] = value
     try:
         return cls(**kwargs)

@@ -21,7 +21,7 @@ import os
 import struct
 import subprocess
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,6 +54,7 @@ from .gossip import (
     HistoryDB,
     MessageRejected,
     RoundMessage,
+    SignedHistory,
     Signer,
     Verifier,
     compose_message,
@@ -176,7 +177,7 @@ class _NodeState:
     prev_known: Dict[int, Tuple[int, np.ndarray]]
     dataset: LabeledDataset
     signer: Signer
-    neighbors: List[int]
+    neighbors: Sequence[int]
     rule: str  # aggregation rule
     epochs: int  # local training epochs
     relays: bool  # whether its messages carry a gossiped record
@@ -356,12 +357,15 @@ def _compose_outbox(
     state: _NodeState, rnd: int, lam: float, seed: int
 ) -> Dict[int, RoundMessage]:
     rng = _stream(seed, _GOSSIP, state.id, rnd)
+    own = SignedHistory(
+        state.history, state.id, rnd, state.signer.sign(state.history, rnd)
+    )
     outbox = {}
     for j in state.neighbors:
         selected = None
         if state.relays:
             selected = select_gossip(filter_db(state.db, state.id, j), lam, rng)
-        outbox[j] = compose_message(state.history, rnd, selected, state.signer)
+        outbox[j] = compose_message(own, selected)
     return outbox
 
 

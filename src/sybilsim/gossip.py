@@ -32,10 +32,6 @@ class MessageRejected(RuntimeError):
     """An incoming message failed verification and was discarded whole."""
 
 
-class ComposeFailure(RuntimeError):
-    """Signing failed while building an outgoing message."""
-
-
 @dataclass(frozen=True)
 class HistoryRecord:
     """One stored history: who trained it, how it got here, and its proof.
@@ -252,27 +248,15 @@ def update_db(db: HistoryDB, incoming: HistoryRecord) -> str:
 
 
 def compose_message(
-    self_history: np.ndarray,
-    round_no: int,
-    selected: Optional[HistoryRecord],
-    signer: Signer,
+    own: SignedHistory, selected: Optional[HistoryRecord]
 ) -> RoundMessage:
     """Build the outgoing message: own signed history plus one relayed record.
 
-    The relayed block keeps the originator's signature; only the distance
-    counter changes, incremented by one for this extra hop.  Raw trained
-    models are never included.
+    The sender signs its history once per round and every neighbor gets the
+    same ``own`` block.  The relayed block keeps the originator's
+    signature; only the distance counter changes, incremented by one for
+    this extra hop.  Raw trained models are never included.
     """
-    try:
-        signature = signer.sign(self_history, round_no)
-    except Exception as exc:
-        raise ComposeFailure(f"signing failed: {exc}") from exc
-    own = SignedHistory(
-        history=np.asarray(self_history, dtype=np.float64),
-        origin=signer.node_id,
-        round=round_no,
-        signature=signature,
-    )
     if selected is None:
         return RoundMessage(own=own)
     gossiped = SignedHistory(

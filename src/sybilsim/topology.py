@@ -9,8 +9,9 @@ fewest Sybils that respect the degree bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,10 +34,6 @@ class PlanningFailure(RuntimeError):
     """Raised when attack edges cannot be placed within the degree bound."""
 
 
-class AttachmentFailure(RuntimeError):
-    """Raised when attaching Sybils would violate a topology invariant."""
-
-
 Edge = Tuple[int, int]
 
 
@@ -48,18 +45,32 @@ def _norm_edge(a: int, b: int) -> Edge:
 
 @dataclass(frozen=True)
 class Topology:
-    """Undirected graph of honest nodes plus Sybils, with a degree bound."""
+    """Undirected graph of honest nodes plus Sybils, with a degree bound.
+
+    The sorted adjacency is built once, here, and never changes; an edge
+    that touches a node outside ``honest | sybils`` is rejected.
+    """
 
     honest: FrozenSet[int]
     sybils: FrozenSet[int]
     edges: FrozenSet[Edge]
     degree_bound: int
+    _adj: Mapping[int, Tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "honest", frozenset(self.honest))
         object.__setattr__(self, "sybils", frozenset(self.sybils))
         object.__setattr__(
             self, "edges", frozenset(_norm_edge(a, b) for a, b in self.edges)
+        )
+        adj: Dict[int, list[int]] = {n: [] for n in self.nodes}
+        for a, b in self.edges:
+            if a not in adj or b not in adj:
+                raise ValueError(f"edge ({a}, {b}) touches an unknown node")
+            adj[a].append(b)
+            adj[b].append(a)
+        object.__setattr__(
+            self, "_adj", MappingProxyType({n: tuple(sorted(v)) for n, v in adj.items()})
         )
 
     @property
@@ -68,18 +79,14 @@ class Topology:
 
     def neighbors(self, node: int) -> list[int]:
         """Neighbor ids in ascending order."""
-        out = [b if a == node else a for a, b in self.edges if node in (a, b)]
-        return sorted(out)
+        return list(self._adj[node])
 
-    def adjacency(self) -> Dict[int, list[int]]:
-        adj: Dict[int, list[int]] = {n: [] for n in self.nodes}
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        return {n: sorted(v) for n, v in adj.items()}
+    def adjacency(self) -> Mapping[int, Tuple[int, ...]]:
+        """Read-only map from every node to its sorted neighbor ids."""
+        return self._adj
 
     def degree(self, node: int) -> int:
-        return sum(1 for a, b in self.edges if node in (a, b))
+        return len(self._adj[node])
 
     def to_json_dict(self) -> dict:
         return {
@@ -90,29 +97,14 @@ class Topology:
         }
 
 
-def _is_connected(nodes: Iterable[int], adj: Dict[int, list[int]]) -> bool:
-    nodes = set(nodes)
-    if len(nodes) <= 1:
-        return True
-    start = next(iter(nodes))
-    seen = {start}
-    stack = [start]
-    while stack:
-        for m in adj[stack.pop()]:
-            if m in nodes and m not in seen:
-                seen.add(m)
-                stack.append(m)
-    return seen == nodes
-
-
 def validate_topology(t: Topology) -> None:
-    """Check every structural invariant; raise ValueError on the first breach."""
+    """Check every structural invariant; raise ValueError on the first breach.
+
+    Edges to unknown nodes never get this far: ``Topology`` rejects them.
+    """
     if t.honest & t.sybils:
         raise ValueError("honest and sybil id sets overlap")
     adj = t.adjacency()
-    for a, b in t.edges:
-        if a not in t.nodes or b not in t.nodes:
-            raise ValueError(f"edge ({a}, {b}) touches an unknown node")
     for node in sorted(t.nodes):
         if len(adj[node]) > t.degree_bound:
             raise ValueError(
@@ -120,10 +112,9 @@ def validate_topology(t: Topology) -> None:
             )
         if not any(m in t.honest for m in adj[node]):
             raise ValueError(f"node {node} has no honest neighbor")
-    honest_adj = {
-        n: [m for m in adj[n] if m in t.honest] for n in t.honest
-    }
-    if not _is_connected(t.honest, honest_adj):
+    # Sybils must not be what holds the honest nodes together.
+    honest_adj = {n: [m for m in adj[n] if m in t.honest] for n in t.honest}
+    if t.honest and len(_hops(honest_adj, [min(t.honest)])) < len(t.honest):
         raise ValueError("honest subgraph is not connected")
 
 
@@ -153,7 +144,7 @@ def random_geometric_graph(n: int, radius: float, seed: int) -> Topology:
             edges=edges,
             degree_bound=n,
         )
-        if _is_connected(topo.honest, topo.adjacency()):
+        if len(bfs_distances(topo, [0])) == n:
             return topo
     raise GenerationFailure(
         f"no connected geometric graph after {CONNECT_RETRY_BUDGET} attempts "
@@ -161,57 +152,60 @@ def random_geometric_graph(n: int, radius: float, seed: int) -> Topology:
     )
 
 
+def _joined_without(adj: Mapping[int, set], a: int, b: int) -> bool:
+    """Whether ``b`` is reachable from ``a`` without the edge (a, b);
+    stops at the first path found."""
+    stack = [m for m in adj[a] if m != b]
+    seen = {a, *stack}
+    while stack:
+        for m in adj[stack.pop()]:
+            if m == b:
+                return True
+            if m not in seen:
+                seen.add(m)
+                stack.append(m)
+    return False
+
+
 def cap_degrees(g: Topology, e: int, seed: int) -> Topology:
     """Remove random edges until every degree is within ``e``.
 
     Only edges touching an over-degree node are candidates, and only those
-    whose removal keeps the graph in a single connected component.
+    whose removal keeps the graph in a single connected component.  The
+    graph is checked connected once and stays connected after every
+    removal, so an edge qualifies exactly when its endpoints stay joined
+    without it.
     """
     if e < 2:
         raise ValueError("degree bound must be >= 2")
     rng = np.random.default_rng(seed)
-    edges = set(g.edges)
-    degree = {n: 0 for n in g.nodes}
-    for a, b in edges:
-        degree[a] += 1
-        degree[b] += 1
-
-    def removal_keeps_connected(edge: Edge) -> bool:
-        trial = edges - {edge}
-        adj: Dict[int, list[int]] = {n: [] for n in g.nodes}
-        for a, b in trial:
-            adj[a].append(b)
-            adj[b].append(a)
-        return _is_connected(g.nodes, adj)
-
-    while True:
-        over = [n for n in g.nodes if degree[n] > e]
-        if not over:
-            break
-        candidates = sorted(
-            edge
-            for edge in edges
-            if (degree[edge[0]] > e or degree[edge[1]] > e)
-            and removal_keeps_connected(edge)
+    adj = {n: set(v) for n, v in g.adjacency().items()}
+    over = sorted(n for n in adj if len(adj[n]) > e)
+    if over and len(bfs_distances(g, over[:1])) < len(adj):
+        raise CappingFailure(
+            f"nodes {over} exceed degree {e} but the graph is not connected"
         )
+    while over:
+        incident = {_norm_edge(n, m) for n in over for m in adj[n]}
+        candidates = [edge for edge in sorted(incident) if _joined_without(adj, *edge)]
         if not candidates:
             raise CappingFailure(
-                f"nodes {sorted(over)} exceed degree {e} but every incident edge is a bridge"
+                f"nodes {over} exceed degree {e} but every incident edge is a bridge"
             )
         a, b = candidates[rng.integers(len(candidates))]
-        edges.discard((a, b))
-        degree[a] -= 1
-        degree[b] -= 1
+        adj[a].discard(b)
+        adj[b].discard(a)
+        over = sorted(n for n in adj if len(adj[n]) > e)
 
-    return Topology(g.honest, g.sybils, frozenset(edges), min(g.degree_bound, max(e, 2)))
+    edges = frozenset((a, b) for a in adj for b in adj[a] if a < b)
+    return Topology(g.honest, g.sybils, edges, min(g.degree_bound, e))
 
 
-def bfs_distances(g: Topology, sources: Iterable[int]) -> Dict[int, int]:
-    """Multi-source shortest hop counts; unreachable nodes are absent."""
+def _hops(adj: Mapping[int, Sequence[int]], sources: Iterable[int]) -> Dict[int, int]:
+    """Multi-source BFS hop counts over ``adj``; unreachable nodes are absent."""
     sources = set(sources)
     if not sources:
         raise ValueError("sources must be non-empty")
-    adj = g.adjacency()
     dist = {s: 0 for s in sources}
     frontier = sorted(sources)
     hops = 0
@@ -225,6 +219,11 @@ def bfs_distances(g: Topology, sources: Iterable[int]) -> Dict[int, int]:
                     nxt.append(m)
         frontier = sorted(set(nxt))
     return dist
+
+
+def bfs_distances(g: Topology, sources: Iterable[int]) -> Dict[int, int]:
+    """Multi-source shortest hop counts; unreachable nodes are absent."""
+    return _hops(g.adjacency(), sources)
 
 
 def _kmedoids_cost(dist: np.ndarray, medoids: list[int]) -> float:
@@ -316,7 +315,7 @@ def plan_ssp_attack(g: Topology, phi: float, seed: int) -> SSPPlan:
     honest = sorted(g.honest)
     n = len(honest)
     adj = g.adjacency()
-    if not _is_connected(g.honest, adj):
+    if g.honest - bfs_distances(g, honest[:1]).keys():
         raise ValueError("honest graph must be connected")
 
     # Guard float fuzz so e.g. 10 * 0.2 still counts as exactly 2 edges.
@@ -391,13 +390,7 @@ def build_attack_network(
         )
     sub = np.random.SeedSequence(seed).generate_state(3)
     g = random_geometric_graph(n, radius, int(sub[0]))
-    capped = cap_degrees(g, honest_cap, int(sub[1]))
-    honest = Topology(
-        honest=capped.honest,
-        sybils=frozenset(),
-        edges=capped.edges,
-        degree_bound=degree_bound,
-    )
+    honest = replace(cap_degrees(g, honest_cap, int(sub[1])), degree_bound=degree_bound)
     if phi is None:
         return honest, None, honest
     plan = plan_ssp_attack(honest, phi, int(sub[2]))
@@ -405,17 +398,11 @@ def build_attack_network(
 
 
 def attach_sybils(g: Topology, plan: SSPPlan) -> Topology:
-    """Add the plan's Sybil nodes and attack edges to an honest graph."""
-    degree = {node: g.degree(node) for node in g.honest}
-    for _, honest in plan.attack_edges:
-        if honest not in g.honest:
-            raise AttachmentFailure(f"attack edge targets unknown node {honest}")
-        degree[honest] += 1
-    over = sorted(node for node, d in degree.items() if d > g.degree_bound)
-    if over:
-        raise AttachmentFailure(
-            f"attack edges push honest nodes {over} over degree {g.degree_bound}"
-        )
+    """Add the plan's Sybil nodes and attack edges to an honest graph.
+
+    Raises ValueError when an attack edge targets an unknown node or the
+    result breaks any invariant of ``validate_topology``.
+    """
     sybils = frozenset(s for s, _ in plan.attack_edges)
     topo = Topology(
         honest=g.honest,

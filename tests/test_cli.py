@@ -99,6 +99,29 @@ class TestValidate:
         path.write_text(BASE_YAML.replace("fedavg", "trimmed"))
         assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "old, new, field",
+        [
+            ("rounds: 4", 'rounds: "10"', "rounds: expected int, got str"),
+            ("  radius: 0.7", "  radius: wide", "topology.radius: expected float, got str"),
+            ("  local_epochs: 2", "  local_epochs: true", "train.local_epochs: expected int"),
+            ("  lam: 0.8", "  lam: [0.8]", "gossip.lam: expected float, got list"),
+        ],
+    )
+    def test_mistyped_value_names_the_field(self, tmp_path, capsys, old, new, field):
+        path = tmp_path / "typed.yaml"
+        path.write_text(BASE_YAML.replace(old, new))
+        assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+        assert f"config error: {field}" in capsys.readouterr().err
+
+    def test_int_for_float_and_null_for_optional_accepted(self, tmp_path):
+        path = tmp_path / "loose.yaml"
+        path.write_text(
+            BASE_YAML.replace("  learning_rate: 0.05", "  learning_rate: 1")
+            + "  capacity: null\n"
+        )
+        assert main(["validate", "--config", str(path)]) == EXIT_OK
+
 
 class TestRun:
     def test_writes_metrics_and_manifest(self, config_file, tmp_path, capsys):

@@ -124,6 +124,22 @@ class TestMessageAccounting:
         assert len(res.topology.sybils) >= 1
         assert res.message_counts == [expected] * res.config.rounds
 
+    def test_each_node_signs_once_per_round(self, monkeypatch):
+        """Every neighbor gets the same signed own block, so a node that
+        composes to several neighbors still signs its history only once."""
+        signed = []
+        sign = Signer.sign
+
+        def counting(signer, history, round_no):
+            signed.append((signer.node_id, round_no))
+            return sign(signer, history, round_no)
+
+        monkeypatch.setattr(Signer, "sign", counting)
+        res = run_simulation(_attack_cfg())
+        assert max(res.topology.degree(i) for i in res.topology.nodes) > 1
+        rounds = range(res.config.rounds)
+        assert sorted(signed) == [(i, r) for i in sorted(res.topology.nodes) for r in rounds]
+
     def test_offline_node_composes_nothing(self):
         cfg = _cfg(rounds=7, downtime=[DowntimeEntry(node=3, start=3, length=1)])
         res = run_simulation(cfg)
@@ -144,9 +160,9 @@ def _tampered_run(monkeypatch, tamper, rounds=8):
 
     compose = engine.compose_message
 
-    def wrapped(history, round_no, selected, signer):
-        msg = compose(history, round_no, selected, signer)
-        return tamper(msg) if signer.node_id == 0 else msg
+    def wrapped(own, selected):
+        msg = compose(own, selected)
+        return tamper(msg) if own.origin == 0 else msg
 
     monkeypatch.setattr(engine, "compose_message", wrapped)
     return run_simulation(_cfg(rounds=rounds), trace=True)
@@ -204,8 +220,12 @@ class TestRejectedMessages:
             prev_known={1: (4, np.array([2.0]))}, dataset=None, signer=signers[3],
             neighbors=[1, 2], rule="fedavg", epochs=1, relays=True,
         )
-        good = compose_message(np.array([5.0]), 5, None, signers[2])
-        sent = compose_message(np.array([7.0]), 5, None, signers[1])
+        good = compose_message(
+            SignedHistory(np.array([5.0]), 2, 5, signers[2].sign(np.array([5.0]), 5)), None
+        )
+        sent = compose_message(
+            SignedHistory(np.array([7.0]), 1, 5, signers[1].sign(np.array([7.0]), 5)), None
+        )
         forged = RoundMessage(SignedHistory(np.array([9.0]), 1, 5, sent.own.signature))
         inferred, rejected = _receive_all(state, [forged, good], verifier)
         assert rejected == 1

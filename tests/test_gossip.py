@@ -44,6 +44,12 @@ def _signer(scheme, node_id):
     return Signer(scheme=scheme, node_id=node_id, private=private), public
 
 
+def _own(signer, values, round_no):
+    """The sender's own block, signed the way the engine signs it."""
+    history = np.array(values, dtype=np.float64)
+    return SignedHistory(history, signer.node_id, round_no, signer.sign(history, round_no))
+
+
 def _network(scheme, ids):
     signers = {}
     publics = {}
@@ -67,7 +73,7 @@ class TestWireFormat:
         relayed_hist = np.array([8.0, -1.0])
         relayed_sig = signers[6].sign(relayed_hist, 3)
         record = HistoryRecord(6, relayed_hist, 3, 2, forwarder=4, signature=relayed_sig)
-        msg = compose_message(np.array([0.5]), 4, record, signers[1])
+        msg = compose_message(_own(signers[1], [0.5], 4), record)
         for block in (msg.own, msg.gossiped):
             assert keys.check(block)
             raw = block.history.tobytes()
@@ -216,7 +222,7 @@ class TestComposeMessage:
     def test_own_block_verifies(self):
         scheme = Blake2Scheme()
         signers, keys = _network(scheme, [3])
-        msg = compose_message(np.array([1.0, 2.0]), 6, None, signers[3])
+        msg = compose_message(_own(signers[3], [1.0, 2.0], 6), None)
         assert msg.gossiped is None
         assert keys.check(msg.own)
         assert msg.own.origin == 3 and msg.own.round == 6
@@ -227,7 +233,7 @@ class TestComposeMessage:
         hist = np.array([4.0])
         sig = signers[8].sign(hist, 2)
         record = HistoryRecord(8, hist, 2, distance=3, forwarder=5, signature=sig)
-        msg = compose_message(np.array([0.0]), 6, record, signers[1])
+        msg = compose_message(_own(signers[1], [0.0], 6), record)
         assert msg.gossiped.signature == sig
         assert msg.gossip_distance == 4
         assert keys.check(msg.gossiped)
@@ -270,7 +276,7 @@ class TestReceiveMessage:
             6, relayed_hist, 3, distance=2, forwarder=7,
             signature=signers[6].sign(relayed_hist, 3),
         )
-        msg = compose_message(np.array([3.0]), 5, record, signers[1])
+        msg = compose_message(_own(signers[1], [3.0], 5), record)
         db = HistoryDB()
         res = receive_message(msg, db, (4, np.array([1.0])), keys, self_id=2)
         assert res.sender == 1 and res.round == 5
@@ -281,7 +287,7 @@ class TestReceiveMessage:
 
     def test_forged_own_block_rejected_whole(self):
         _, signers, keys = self._setup()
-        msg = compose_message(np.array([3.0]), 5, None, signers[1])
+        msg = compose_message(_own(signers[1], [3.0], 5), None)
         forged = RoundMessage(
             own=SignedHistory(np.array([9.0]), 1, 5, msg.own.signature)
         )
@@ -293,7 +299,7 @@ class TestReceiveMessage:
     def test_forged_gossip_block_rejects_whole_message(self):
         _, signers, keys = self._setup()
         bogus = HistoryRecord(6, np.array([8.0]), 3, 2, 7, signature=b"fake")
-        msg = compose_message(np.array([3.0]), 5, bogus, signers[1])
+        msg = compose_message(_own(signers[1], [3.0], 5), bogus)
         db = HistoryDB()
         with pytest.raises(MessageRejected, match="gossiped block"):
             receive_message(msg, db, None, keys, self_id=2)
@@ -303,13 +309,13 @@ class TestReceiveMessage:
         scheme = Blake2Scheme()
         signers, _ = _network(scheme, [9])
         _, _, keys = self._setup()
-        msg = compose_message(np.array([1.0]), 2, None, signers[9])
+        msg = compose_message(_own(signers[9], [1.0], 2), None)
         with pytest.raises(MessageRejected):
             receive_message(msg, HistoryDB(), None, keys, self_id=2)
 
     def test_regressing_round_rejected(self):
         _, signers, keys = self._setup()
-        msg = compose_message(np.array([3.0]), 2, None, signers[1])
+        msg = compose_message(_own(signers[1], [3.0], 2), None)
         with pytest.raises(MessageRejected, match="regresses"):
             receive_message(msg, HistoryDB(), (4, np.array([1.0])), keys, self_id=2)
 
@@ -320,7 +326,7 @@ class TestReceiveMessage:
             2, my_hist, 3, distance=2, forwarder=7,
             signature=signers[2].sign(my_hist, 3),
         )
-        msg = compose_message(np.array([3.0]), 5, about_me, signers[1])
+        msg = compose_message(_own(signers[1], [3.0], 5), about_me)
         db = HistoryDB()
         res = receive_message(msg, db, None, keys, self_id=2)
         assert res.db_changes["gossip"] is None
@@ -328,7 +334,7 @@ class TestReceiveMessage:
 
     def test_repeat_delivery_ignored(self):
         _, signers, keys = self._setup()
-        msg = compose_message(np.array([3.0]), 5, None, signers[1])
+        msg = compose_message(_own(signers[1], [3.0], 5), None)
         db = HistoryDB()
         receive_message(msg, db, None, keys, self_id=2)
         res = receive_message(msg, db, (5, np.array([3.0])), keys, self_id=2)

@@ -1,14 +1,16 @@
-"""Graph construction checks: BFS against a Floyd-Warshall oracle, K-medoids
-against exhaustive search, and the attack-placement invariants."""
+"""Graph construction checks: BFS against a Floyd-Warshall oracle, degree
+capping against the rebuild-per-candidate rule, K-medoids against exhaustive
+search, and the attack-placement invariants, also at paper scale."""
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from sybilsim.topology import (
-    AttachmentFailure,
+    CappingFailure,
     SSPPlan,
     Topology,
     attach_sybils,
@@ -46,6 +48,10 @@ class TestTopology:
         assert t.neighbors(0) == [1, 2, 3]
         assert t.degree(0) == 3
         assert t.degree(1) == 1
+
+    def test_edge_to_unknown_node_rejected(self):
+        with pytest.raises(ValueError, match=r"edge \(1, 7\) touches an unknown node"):
+            Topology(frozenset({0, 1}), frozenset(), {(0, 1), (1, 7)}, 4)
 
 
 class TestValidateTopology:
@@ -121,6 +127,90 @@ class TestCapDegrees:
         a = cap_degrees(g, 4, seed=7)
         b = cap_degrees(g, 4, seed=7)
         assert a.edges == b.edges
+
+
+def _reference_cap(g, e, seed):
+    """Degree capping by its first rule: an edge at an over-degree node is a
+    candidate when the adjacency rebuilt without it still connects the
+    whole graph; the RNG picks among the sorted candidates."""
+    rng = np.random.default_rng(seed)
+    edges = set(g.edges)
+
+    def connected_without(edge):
+        adj = {n: [] for n in g.nodes}
+        for a, b in edges - {edge}:
+            adj[a].append(b)
+            adj[b].append(a)
+        start = min(g.nodes)
+        seen = {start}
+        stack = [start]
+        while stack:
+            for m in adj[stack.pop()]:
+                if m not in seen:
+                    seen.add(m)
+                    stack.append(m)
+        return len(seen) == len(g.nodes)
+
+    while True:
+        degree = Counter(n for edge in edges for n in edge)
+        if all(degree[n] <= e for n in g.nodes):
+            return frozenset(edges)
+        candidates = sorted(
+            edge
+            for edge in edges
+            if (degree[edge[0]] > e or degree[edge[1]] > e) and connected_without(edge)
+        )
+        if not candidates:
+            raise CappingFailure("every incident edge is a bridge")
+        edges.discard(candidates[rng.integers(len(candidates))])
+
+
+class TestCapDegreesOracle:
+    """``cap_degrees`` removes exactly the edges the rebuild-per-candidate
+    rule removes, so every network built on it is unchanged."""
+
+    def test_matches_reference_on_random_graphs(self):
+        rng = np.random.default_rng(2024)
+        capped = 0
+        for trial in range(60):
+            n = int(rng.integers(6, 41))
+            # a mean degree of about 5-15 keeps the reference quick
+            radius = float(rng.uniform(1.3, 2.4)) / math.sqrt(n)
+            bound = int(rng.integers(3, 7))
+            g = random_geometric_graph(n, radius, seed=trial)
+            try:
+                want = _reference_cap(g, bound, seed=trial + 100)
+            except CappingFailure:
+                with pytest.raises(CappingFailure, match="bridge"):
+                    cap_degrees(g, bound, seed=trial + 100)
+                continue
+            got = cap_degrees(g, bound, seed=trial + 100)
+            assert got.edges == want, (n, radius, bound, trial)
+            assert got.degree_bound == min(g.degree_bound, bound)
+            capped += got.edges != g.edges
+        assert capped >= 50
+
+    def test_matches_reference_at_paper_scale(self):
+        g = random_geometric_graph(99, 0.2, seed=1)
+        got = cap_degrees(g, 7, seed=2)
+        assert got.edges != g.edges
+        assert got.edges == _reference_cap(g, 7, seed=2)
+
+    def test_disconnected_input_raises(self):
+        # K4 next to a lone edge: node degrees 3 exceed the bound 2
+        edges = set(itertools.combinations(range(4), 2)) | {(4, 5)}
+        g = Topology(frozenset(range(6)), frozenset(), edges, 6)
+        with pytest.raises(CappingFailure):
+            _reference_cap(g, 2, seed=0)
+        with pytest.raises(CappingFailure, match="not connected"):
+            cap_degrees(g, 2, seed=0)
+
+    def test_all_bridges_raise(self):
+        star = Topology(frozenset(range(5)), frozenset(), {(0, i) for i in range(1, 5)}, 5)
+        with pytest.raises(CappingFailure):
+            _reference_cap(star, 2, seed=0)
+        with pytest.raises(CappingFailure, match="bridge"):
+            cap_degrees(star, 2, seed=0)
 
 
 class TestBfsDistances:
@@ -288,13 +378,13 @@ class TestAttachSybils:
         plan = SSPPlan(
             phi=2.0, attack_edges=((2, 0), (3, 0)), sybil_count=2
         )
-        with pytest.raises(AttachmentFailure):
+        with pytest.raises(ValueError, match="degree"):
             attach_sybils(g, plan)
 
     def test_rejects_unknown_target(self):
         g = Topology(frozenset({0, 1}), frozenset(), {(0, 1)}, 4)
         plan = SSPPlan(phi=1.0, attack_edges=((2, 7),), sybil_count=1)
-        with pytest.raises(AttachmentFailure):
+        with pytest.raises(ValueError, match="unknown node"):
             attach_sybils(g, plan)
 
 
@@ -318,3 +408,22 @@ class TestBuildAttackNetwork:
         a = build_attack_network(12, 0.5, 8, 1.0, seed=11)
         b = build_attack_network(12, 0.5, 8, 1.0, seed=11)
         assert a[2].edges == b[2].edges
+
+
+class TestPaperScaleNetwork:
+    """Invariants and determinism of the network at 99 honest nodes."""
+
+    @pytest.mark.parametrize("phi", [0.5, 1.0, 2.0])
+    def test_invariants_and_rebuild(self, phi):
+        honest, plan, full = build_attack_network(99, 0.2, 8, phi, seed=1)
+        validate_topology(full)
+        assert max(full.degree(n) for n in full.nodes) <= 8
+        assert max(honest.degree(n) for n in honest.honest) <= 8 - math.ceil(phi)
+        assert len(plan.attack_edges) == math.ceil(99 * phi)
+        counts = plan.edges_per_honest()
+        per_node = [counts.get(n, 0) for n in sorted(honest.honest)]
+        assert max(per_node) - min(per_node) <= 1
+        again = build_attack_network(99, 0.2, 8, phi, seed=1)
+        assert (again[0].edges, again[1], again[2].edges) == (
+            honest.edges, plan, full.edges
+        )
