@@ -1,5 +1,9 @@
 """Behaviour pin: short runs must reproduce their committed metrics.csv.
 
+Every aggregation rule is pinned: FedAvg by the quickstart, the plain
+rules and SybilWall on the label-flip config, and the three SybilWall
+enhancements on the capacity-bounded backdoor config.
+
 Each golden file under ``tests/golden/`` was written by ``sybilsim run``
 semantics (``run_simulation`` then ``write_outputs``) on the config built
 here.  A restructuring of the engine must reproduce them byte for byte; a
@@ -44,7 +48,24 @@ def backdoor():
     return cfg.validate()
 
 
+def with_rule(build, rule):
+    def config():
+        cfg = build()
+        cfg.aggregator = rule
+        return cfg.validate()
+
+    return config
+
+
 RUNS = {"quickstart": quickstart, "label_flip": label_flip, "backdoor": backdoor}
+RUNS.update(
+    (f"label_flip.{rule}", with_rule(label_flip, rule))
+    for rule in ("foolsgold", "krum", "multikrum", "median")
+)
+RUNS.update(
+    (f"backdoor.{rule}", with_rule(backdoor, rule))
+    for rule in ("sybilwall+median", "sybilwall+wmedian", "sybilwall+krumfilter")
+)
 
 
 def write_metrics(name, out_dir):
