@@ -8,6 +8,7 @@ with a usable message.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import List, Optional
 
@@ -124,7 +125,11 @@ class SimulationConfig:
             "aggregator",
             f"must be one of {', '.join(AGGREGATORS)}",
         )
-        _require(0 < self.topology.radius, "topology.radius", "must be > 0")
+        _require(
+            0 < self.topology.radius <= math.sqrt(2),
+            "topology.radius",
+            "must lie in (0, sqrt(2)]",
+        )
         d = self.data
         _require(d.kind in ("blobs", "idx"), "data.kind", "must be blobs or idx")
         _require(d.alpha > 0, "data.alpha", "must be > 0")
@@ -154,6 +159,13 @@ class SimulationConfig:
             a = self.attack
             _require(a.kind in ATTACK_KINDS, "attack.kind", "must be label_flip or backdoor")
             _require(a.phi > 0, "attack.phi", "must be > 0")
+            headroom = math.ceil(a.phi - 1e-9)  # attack edges per honest node
+            _require(
+                self.degree_bound - headroom >= 2,
+                "degree_bound",
+                f"leaves no room for {headroom} attack edges per node "
+                f"(attack.phi {a.phi}) plus an honest graph",
+            )
             if a.kind == "label_flip":
                 _require(
                     0 <= a.source < d.classes, "attack.source", "class out of range"

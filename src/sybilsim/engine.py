@@ -97,9 +97,7 @@ def _train_seed(seed: int, domain: int, a: int, b: int) -> int:
 
 
 def _fmt(x: float) -> str:
-    if math.isnan(x):
-        return "nan"
-    return f"{x:.12g}"
+    return f"{x:.12g}"  # NaN prints as "nan"
 
 
 @dataclass
@@ -174,7 +172,7 @@ class _NodeState:
     model: np.ndarray
     history: np.ndarray
     db: HistoryDB
-    prev_known: Dict[int, Tuple[int, np.ndarray]]
+    prev_known: Dict[int, SignedHistory]  # last accepted block per sender
     dataset: LabeledDataset
     signer: Signer
     neighbors: Sequence[int]
@@ -253,13 +251,14 @@ def _receive_all(
     state: _NodeState,
     inbox: List[RoundMessage],
     verifier: Verifier,
-) -> Tuple[Dict[int, np.ndarray], int]:
+) -> Tuple[Dict[int, Tuple[np.ndarray, np.ndarray]], int]:
     """Process a full inbox in sender order.
 
-    Returns the inferred trained models and the number of messages
+    Returns, for each sender whose trained model could be inferred, that
+    model and the history it arrived with, and the number of messages
     rejected.  A rejected message is dropped whole: the sender's record and
-    last known history stay as they were."""
-    inferred: Dict[int, np.ndarray] = {}
+    last known block stay as they were."""
+    received: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
     rejected = 0
     for msg in sorted(inbox, key=lambda m: m.own.origin):
         sender = msg.own.origin
@@ -271,53 +270,54 @@ def _receive_all(
             rejected += 1
             continue
         if res.trained_model is not None:
-            inferred[sender] = res.trained_model
-        state.prev_known[sender] = (res.round, res.history)
-    return inferred, rejected
+            received[sender] = (res.trained_model, res.block.history)
+        state.prev_known[sender] = res.block
+    return received, rejected
 
 
 def _aggregate(
     cfg: SimulationConfig,
     state: _NodeState,
-    inferred: Dict[int, np.ndarray],
+    received: Dict[int, Tuple[np.ndarray, np.ndarray]],
     sizes: Dict[int, int],
 ) -> Tuple[np.ndarray, bool]:
     """One node's aggregation under its rule.
 
+    ``received`` holds each direct neighbor's inferred model and history;
+    the gossip database only adds the sybilwall family's indirect pool.
     With no neighbor model available yet (bootstrap rounds, isolation) every
     rule degrades to keeping the own model.  Returns (vector, degenerate
     flag) where the flag marks a similarity score computed without a
     baseline (single foreign history)."""
-    direct_ids = sorted(inferred)
-    if not direct_ids:
+    if not received:
         return state.model.copy(), False
+    own = (state.id, state.model, state.history)
+    direct = tuple((j, *received[j]) for j in sorted(received))
+    everyone = (own,) + direct
     name = state.rule
-    own_models = [state.model] + [inferred[j] for j in direct_ids]
+    models = [m for _, m, _ in everyone]
     if name == "fedavg":
-        counts = [max(1, sizes[state.id])] + [max(1, sizes[j]) for j in direct_ids]
-        return fedavg(list(zip(own_models, counts))), False
+        counts = [max(1, sizes[i]) for i, _, _ in everyone]
+        return fedavg(list(zip(models, counts))), False
     if name == "median":
-        return coordinate_median(own_models), False
+        return coordinate_median(models), False
     if name in ("krum", "multikrum"):
-        n = len(own_models)
+        n = len(models)
         f = cfg.rule_params.krum_f
         if f is None:
             f = max(0, (n - 3) // 2)
         if n < f + 3:
-            return np.stack(own_models).mean(axis=0), False
+            return np.stack(models).mean(axis=0), False
         if name == "krum":
-            return krum_select(own_models, f), False
+            return krum_select(models, f), False
         m = cfg.rule_params.multikrum_m
         if m is None:
             m = math.ceil(n / 2)
         m = min(max(1, m), n)
-        return multi_krum(own_models, f, m), False
+        return multi_krum(models, f, m), False
     if name == "foolsgold":
-        histories = [(state.id, state.history)] + [
-            (j, state.db.records[j].history) for j in direct_ids
-        ]
         scores = foolsgold_scores(
-            histories,
+            [(i, h) for i, _, h in everyone],
             kappa=cfg.rule_params.kappa,
             logit_eps=cfg.rule_params.logit_eps,
         )
@@ -325,28 +325,15 @@ def _aggregate(
         if total <= 0:
             return state.model.copy(), False
         weights = {i: s / total for i, s in scores.items()}
-        c = ContributionSet(
-            own=(state.id, state.model, state.history),
-            direct=tuple(
-                (j, inferred[j], state.db.records[j].history) for j in direct_ids
-            ),
-        )
-        return weighted_average(c, weights), False
+        return weighted_average(ContributionSet(own=own, direct=direct), weights), False
     # the sybilwall family
-    enhancement = None
-    if "+" in name:
-        enhancement = name.split("+", 1)[1]
-    direct = tuple(
-        (j, inferred[j], state.db.records[j].history) for j in direct_ids
-    )
+    enhancement = name.partition("+")[2] or None
     indirect = tuple(
-        (p, rec.history)
+        (p, rec.block.history)
         for p, rec in sorted(state.db.records.items())
-        if p != state.id and p not in inferred
+        if p != state.id and p not in received
     )
-    c = ContributionSet(
-        own=(state.id, state.model, state.history), direct=direct, indirect=indirect
-    )
+    c = ContributionSet(own=own, direct=direct, indirect=indirect)
     weights, degenerate = sybilwall_weights(
         c, kappa=cfg.rule_params.kappa, logit_eps=cfg.rule_params.logit_eps
     )
@@ -518,27 +505,26 @@ def run_simulation(
                 activity[i][rnd] = "offline"
                 scores.append(_evaluate(Model(state.model, arch), test_set, spec))
                 continue
-            inferred, dropped = _receive_all(state, inboxes[i], verifier)
+            received, dropped = _receive_all(state, inboxes[i], verifier)
             rejected += dropped
             if trace:
-                for sender, vec in sorted(inferred.items()):
-                    inferred_trace.append(
-                        (i, sender, state.prev_known[sender][0], vec.copy())
-                    )
+                for sender, (vec, _) in sorted(received.items()):
+                    trained_in = state.prev_known[sender].round
+                    inferred_trace.append((i, sender, trained_in, vec.copy()))
             if rnd - 1 in offline[i]:
                 # recovery round: collect only, resume fully next round
                 activity[i][rnd] = "recovery"
                 scores.append(_evaluate(Model(state.model, arch), test_set, spec))
                 continue
             if honest or i == designated:
-                aggregated, degenerate = _aggregate(cfg, state, inferred, sizes)
+                aggregated, degenerate = _aggregate(cfg, state, received, sizes)
                 start = Model(aggregated, arch)
                 if honest:
                     activity[i][rnd] = "active"
                     scores.append(_evaluate(start, test_set, spec))
                     degenerates += degenerate
                     if trace:
-                        direct_counts[(i, rnd)] = len(inferred)
+                        direct_counts[(i, rnd)] = len(received)
                 train(state, start, rnd)
             else:
                 state.model = nodes[designated].model

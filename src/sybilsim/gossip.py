@@ -17,7 +17,7 @@ import hmac
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -30,50 +30,6 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 
 class MessageRejected(RuntimeError):
     """An incoming message failed verification and was discarded whole."""
-
-
-@dataclass(frozen=True)
-class HistoryRecord:
-    """One stored history: who trained it, how it got here, and its proof.
-
-    ``distance`` counts forwarding hops: 1 for a record taken straight from
-    its origin, 0 reserved for a node's own bookkeeping entry.  The
-    signature is the ORIGIN's, kept so the record can be forwarded onward
-    without any ability to forge it.
-    """
-
-    origin: int
-    history: np.ndarray
-    round: int
-    distance: int
-    forwarder: int
-    signature: bytes
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "history", np.asarray(self.history, dtype=np.float64)
-        )
-        if self.history.ndim != 1:
-            raise ValueError("history must be a 1-D vector")
-        if self.distance < 0:
-            raise ValueError("distance must be >= 0")
-        if self.round < 0:
-            raise ValueError("round must be >= 0")
-
-
-@dataclass
-class HistoryDB:
-    """At most one record per origin; newest round wins."""
-
-    capacity: Optional[int] = None
-    records: Dict[int, HistoryRecord] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.capacity is not None and self.capacity < 1:
-            raise ValueError("capacity must be >= 1 when set")
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 @dataclass(frozen=True)
@@ -91,6 +47,42 @@ class SignedHistory:
         )
         if self.history.ndim != 1:
             raise ValueError("history must be a 1-D vector")
+        if self.round < 0:
+            raise ValueError("round must be >= 0")
+
+
+@dataclass(frozen=True)
+class HistoryRecord:
+    """One stored history: the signed block as received, and how it got here.
+
+    ``distance`` counts forwarding hops: 1 for a block taken straight from
+    its origin, 0 reserved for a node's own bookkeeping entry.  The block
+    keeps the ORIGIN's signature, so the record can be forwarded onward
+    without any ability to forge it.
+    """
+
+    block: SignedHistory
+    distance: int
+    forwarder: int
+
+    def __post_init__(self):
+        if self.distance < 0:
+            raise ValueError("distance must be >= 0")
+
+
+@dataclass
+class HistoryDB:
+    """At most one record per origin; newest round wins."""
+
+    capacity: Optional[int] = None
+    records: Dict[int, HistoryRecord] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.capacity is not None and self.capacity < 1:
+            raise ValueError("capacity must be >= 1 when set")
+
+    def __len__(self) -> int:
+        return len(self.records)
 
 
 @dataclass(frozen=True)
@@ -231,15 +223,16 @@ def update_db(db: HistoryDB, incoming: HistoryRecord) -> str:
     a capacity is set, the stalest record by round (ties to the lowest
     origin id) is evicted after an insertion.
     """
-    existing = db.records.get(incoming.origin)
+    origin = incoming.block.origin
+    existing = db.records.get(origin)
     if existing is None:
-        db.records[incoming.origin] = incoming
+        db.records[origin] = incoming
         if db.capacity is not None and len(db.records) > db.capacity:
-            stalest = min(db.records, key=lambda o: (db.records[o].round, o))
+            stalest = min(db.records, key=lambda o: (db.records[o].block.round, o))
             del db.records[stalest]
         return "inserted"
-    if incoming.round > existing.round:
-        db.records[incoming.origin] = incoming
+    if incoming.block.round > existing.block.round:
+        db.records[origin] = incoming
         return "updated"
     return "ignored"
 
@@ -253,59 +246,50 @@ def compose_message(
     """Build the outgoing message: own signed history plus one relayed record.
 
     The sender signs its history once per round and every neighbor gets the
-    same ``own`` block.  The relayed block keeps the originator's
-    signature; only the distance counter changes, incremented by one for
-    this extra hop.  Raw trained models are never included.
+    same ``own`` block.  The relayed block is forwarded as received, with
+    the originator's signature; only the distance counter changes,
+    incremented by one for this extra hop.  Raw trained models are never
+    included.
     """
     if selected is None:
         return RoundMessage(own=own)
-    gossiped = SignedHistory(
-        history=selected.history,
-        origin=selected.origin,
-        round=selected.round,
-        signature=selected.signature,
-    )
-    return RoundMessage(own=own, gossiped=gossiped, gossip_distance=selected.distance + 1)
+    return RoundMessage(own=own, gossiped=selected.block, gossip_distance=selected.distance + 1)
 
 
 @dataclass(frozen=True)
 class ReceiveResult:
-    sender: int
-    round: int
-    history: np.ndarray
+    block: SignedHistory  # the sender's own block
     trained_model: Optional[np.ndarray]
     db_changes: Dict[str, Optional[str]]
 
 
 def infer_trained(
-    prev_known: Optional[Tuple[int, np.ndarray]], round_no: int, history: np.ndarray
+    prev: Optional[SignedHistory], block: SignedHistory
 ) -> Optional[np.ndarray]:
     """Trained model as the difference of two consecutive histories.
 
-    Returns None when the previous known history is missing or more than
+    Returns None when the previous known block is missing or more than
     one round behind; a later pair of consecutive rounds will recover the
     model stream."""
-    if prev_known is None:
+    if prev is None or block.round != prev.round + 1:
         return None
-    prev_round, prev_history = prev_known
-    if round_no != prev_round + 1:
-        return None
-    return history - prev_history
+    return block.history - prev.history
 
 
 def receive_message(
     msg: RoundMessage,
     db: HistoryDB,
-    prev_known: Optional[Tuple[int, np.ndarray]],
+    prev_known: Optional[SignedHistory],
     keys: Verifier,
     self_id: Optional[int] = None,
 ) -> ReceiveResult:
     """Verify, store, and decode one incoming message.
 
     Both blocks must verify under their origins' public keys or the whole
-    message is dropped, as is a message whose own block is older than what
-    we already know about the sender.  The sender's fresh history enters
-    the database at distance 1; the relayed record at its carried distance.
+    message is dropped, as is a message whose own block is older than the
+    last one we accepted from the sender (``prev_known``).  The sender's
+    fresh block enters the database at distance 1; the relayed block at its
+    carried distance.
     """
     if not keys.check(msg.own):
         raise MessageRejected(f"own block from node {msg.own.origin} fails verification")
@@ -313,40 +297,14 @@ def receive_message(
         raise MessageRejected(
             f"gossiped block from node {msg.gossiped.origin} fails verification"
         )
-    if prev_known is not None and msg.own.round < prev_known[0]:
+    if prev_known is not None and msg.own.round < prev_known.round:
         raise MessageRejected(
-            f"node {msg.own.origin} round {msg.own.round} regresses before {prev_known[0]}"
+            f"node {msg.own.origin} round {msg.own.round} regresses before {prev_known.round}"
         )
     sender = msg.own.origin
-    trained = infer_trained(prev_known, msg.own.round, msg.own.history)
-    changes: Dict[str, Optional[str]] = {"own": None, "gossip": None}
-    changes["own"] = update_db(
-        db,
-        HistoryRecord(
-            origin=sender,
-            history=msg.own.history,
-            round=msg.own.round,
-            distance=1,
-            forwarder=sender,
-            signature=msg.own.signature,
-        ),
-    )
+    changes = {"own": update_db(db, HistoryRecord(msg.own, 1, sender)), "gossip": None}
     if msg.gossiped is not None and msg.gossiped.origin != self_id:
         changes["gossip"] = update_db(
-            db,
-            HistoryRecord(
-                origin=msg.gossiped.origin,
-                history=msg.gossiped.history,
-                round=msg.gossiped.round,
-                distance=msg.gossip_distance,
-                forwarder=sender,
-                signature=msg.gossiped.signature,
-            ),
+            db, HistoryRecord(msg.gossiped, msg.gossip_distance, sender)
         )
-    return ReceiveResult(
-        sender=sender,
-        round=msg.own.round,
-        history=msg.own.history,
-        trained_model=trained,
-        db_changes=changes,
-    )
+    return ReceiveResult(msg.own, infer_trained(prev_known, msg.own), changes)

@@ -344,7 +344,8 @@ def plan_ssp_attack(g: Topology, phi: float, seed: int) -> SSPPlan:
             ]
             if not room:
                 raise PlanningFailure(
-                    f"{total} attack edges cannot fit under degree bound {g.degree_bound}"
+                    f"node {node}: no honest node has room for its attack edges; "
+                    f"{total} cannot fit under degree bound {g.degree_bound}"
                 )
             room.sort(key=lambda m: (hops.get(m, math.inf), m))
             counts[node] -= 1

@@ -32,7 +32,13 @@ from sybilsim.config import (
     load_config,
 )
 from sybilsim.engine import run_simulation
-from sybilsim.gossip import HistoryDB, HistoryRecord, filter_db, select_gossip
+from sybilsim.gossip import (
+    HistoryDB,
+    HistoryRecord,
+    SignedHistory,
+    filter_db,
+    select_gossip,
+)
 from sybilsim.topology import build_attack_network, validate_topology
 
 SEEDS = (1, 2, 3, 4, 5)
@@ -257,12 +263,9 @@ def test_gossip_selection_distribution():
     db = HistoryDB()
     for origin, dist in ((4, 1), (5, 2), (6, 3)):
         db.records[origin] = HistoryRecord(
-            origin=origin,
-            history=np.zeros(3),
-            round=3,
+            block=SignedHistory(np.zeros(3), origin, 3, b""),
             distance=dist,
             forwarder=9,
-            signature=b"",
         )
     filtered = filter_db(db, self_id=0, neighbor=1)
     assert [r.distance for r in filtered] == [1, 2, 3]

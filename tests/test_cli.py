@@ -114,6 +114,36 @@ class TestValidate:
         assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
         assert f"config error: {field}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            pytest.param(
+                BASE_YAML.replace("  radius: 0.7", "  radius: 1.5"),
+                "topology.radius",
+                id="radius-above-sqrt2",
+            ),
+            pytest.param(
+                ATTACK_YAML.replace("degree_bound: 8", "degree_bound: 3").replace(
+                    "phi: 1.0", "phi: 2.0"
+                ),
+                "degree_bound",
+                id="no-room-for-attack-edges",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_network_the_run_cannot_build_is_a_config_error(
+        self, tmp_path, capsys, text, field, command
+    ):
+        """What would fail while building the network fails validation first."""
+        path = tmp_path / "unbuildable.yaml"
+        path.write_text(text)
+        args = [command, "--config", str(path)]
+        if command == "run":
+            args += ["--out-dir", str(tmp_path / "out")]
+        assert main(args) == EXIT_CONFIG
+        assert f"config error: {field}: " in capsys.readouterr().err
+
     def test_int_for_float_and_null_for_optional_accepted(self, tmp_path):
         path = tmp_path / "loose.yaml"
         path.write_text(

@@ -154,6 +154,23 @@ class TestMessageAccounting:
         assert res.message_counts[5] == full
 
 
+class TestGossipCapacity:
+    """The gossip database feeds relays and the indirect scoring pool only:
+    every neighbor model received is aggregated, whatever its capacity."""
+
+    @pytest.mark.parametrize("rule", ["sybilwall", "foolsgold"])
+    def test_capacity_below_degree_aggregates_every_neighbor(self, rule):
+        bounded = run_simulation(
+            _attack_cfg(aggregator=rule, gossip=GossipConfig(lam=0.8, capacity=1)),
+            trace=True,
+        )
+        unbounded = run_simulation(_attack_cfg(aggregator=rule), trace=True)
+        assert len(bounded.metrics) == bounded.config.rounds
+        assert len(unbounded.metrics) == unbounded.config.rounds
+        assert max(bounded.direct_counts.values()) > 1
+        assert bounded.direct_counts == unbounded.direct_counts
+
+
 def _tampered_run(monkeypatch, tamper, rounds=8):
     """Run with node 0's outgoing messages passed through ``tamper``."""
     import sybilsim.engine as engine
@@ -217,7 +234,8 @@ class TestRejectedMessages:
         signers = {i: Signer(scheme, i, priv) for i, (priv, _) in keys.items()}
         state = _NodeState(
             id=3, model=np.zeros(1), history=np.zeros(1), db=HistoryDB(),
-            prev_known={1: (4, np.array([2.0]))}, dataset=None, signer=signers[3],
+            prev_known={1: SignedHistory(np.array([2.0]), 1, 4, b"s")},
+            dataset=None, signer=signers[3],
             neighbors=[1, 2], rule="fedavg", epochs=1, relays=True,
         )
         good = compose_message(
@@ -231,9 +249,9 @@ class TestRejectedMessages:
         assert rejected == 1
         assert inferred == {}
         assert sorted(state.db.records) == [2]
-        assert state.prev_known[1][0] == 4
-        assert np.array_equal(state.prev_known[1][1], [2.0])
-        assert state.prev_known[2][0] == 5
+        assert state.prev_known[1].round == 4
+        assert np.array_equal(state.prev_known[1].history, [2.0])
+        assert state.prev_known[2].round == 5
 
     def test_clean_run_rejects_nothing(self):
         res = run_simulation(_attack_cfg())

@@ -29,14 +29,8 @@ from sybilsim.gossip import (
 
 
 def _record(origin, round_no=1, distance=1, forwarder=99, values=(1.0,), sig=b"s"):
-    return HistoryRecord(
-        origin=origin,
-        history=np.array(values, dtype=np.float64),
-        round=round_no,
-        distance=distance,
-        forwarder=forwarder,
-        signature=sig,
-    )
+    block = SignedHistory(np.array(values, dtype=np.float64), origin, round_no, sig)
+    return HistoryRecord(block, distance=distance, forwarder=forwarder)
 
 
 def _signer(scheme, node_id):
@@ -72,7 +66,9 @@ class TestWireFormat:
         signers, keys = _network(scheme, [1, 6])
         relayed_hist = np.array([8.0, -1.0])
         relayed_sig = signers[6].sign(relayed_hist, 3)
-        record = HistoryRecord(6, relayed_hist, 3, 2, forwarder=4, signature=relayed_sig)
+        record = HistoryRecord(
+            SignedHistory(relayed_hist, 6, 3, relayed_sig), 2, forwarder=4
+        )
         msg = compose_message(_own(signers[1], [0.5], 4), record)
         for block in (msg.own, msg.gossiped):
             assert keys.check(block)
@@ -128,7 +124,7 @@ class TestFilterDb:
         db.records[2] = _record(2, forwarder=3)       # eligible
         db.records[9] = _record(9, forwarder=1)       # eligible
         got = filter_db(db, self_id, neighbor)
-        assert [r.origin for r in got] == [2, 9]
+        assert [r.block.origin for r in got] == [2, 9]
 
     def test_empty_db(self):
         assert filter_db(HistoryDB(), 0, 1) == []
@@ -154,7 +150,7 @@ class TestSelectGossip:
         rng = np.random.default_rng(7)
         near, far = _record(1, distance=1), _record(2, distance=2)
         draws = sum(
-            select_gossip([near, far], 0.8, rng).origin == 1 for _ in range(20000)
+            select_gossip([near, far], 0.8, rng).block.origin == 1 for _ in range(20000)
         )
         expect = np.exp(0.8) / (1.0 + np.exp(0.8))
         assert draws / 20000 == pytest.approx(expect, abs=0.02)
@@ -163,15 +159,15 @@ class TestSelectGossip:
         rng = np.random.default_rng(8)
         near, far = _record(1, distance=1), _record(2, distance=3)
         draws = sum(
-            select_gossip([near, far], 0.8, rng).origin == 1 for _ in range(20000)
+            select_gossip([near, far], 0.8, rng).block.origin == 1 for _ in range(20000)
         )
         expect = np.exp(1.6) / (1.0 + np.exp(1.6))
         assert draws / 20000 == pytest.approx(expect, abs=0.02)
 
     def test_deterministic_under_seeded_rng(self):
         recs = [_record(i, distance=1 + i % 3) for i in range(6)]
-        a = [select_gossip(recs, 0.8, np.random.default_rng(3)).origin for _ in range(1)]
-        b = [select_gossip(recs, 0.8, np.random.default_rng(3)).origin for _ in range(1)]
+        a = [select_gossip(recs, 0.8, np.random.default_rng(3)).block.origin for _ in range(1)]
+        b = [select_gossip(recs, 0.8, np.random.default_rng(3)).block.origin for _ in range(1)]
         assert a == b
 
 
@@ -181,10 +177,10 @@ class TestUpdateDb:
         assert update_db(db, _record(4, round_no=5)) == "inserted"
         assert update_db(db, _record(4, round_no=7, values=(2.0,))) == "updated"
         assert len(db) == 1
-        assert db.records[4].round == 7
+        assert db.records[4].block.round == 7
         assert update_db(db, _record(4, round_no=7, values=(9.0,))) == "ignored"
         assert update_db(db, _record(4, round_no=6)) == "ignored"
-        assert np.array_equal(db.records[4].history, [2.0])
+        assert np.array_equal(db.records[4].block.history, [2.0])
 
     def test_capacity_evicts_stalest(self):
         db = HistoryDB(capacity=2)
@@ -232,7 +228,7 @@ class TestComposeMessage:
         signers, keys = _network(scheme, [1, 8])
         hist = np.array([4.0])
         sig = signers[8].sign(hist, 2)
-        record = HistoryRecord(8, hist, 2, distance=3, forwarder=5, signature=sig)
+        record = HistoryRecord(SignedHistory(hist, 8, 2, sig), distance=3, forwarder=5)
         msg = compose_message(_own(signers[1], [0.0], 6), record)
         assert msg.gossiped.signature == sig
         assert msg.gossip_distance == 4
@@ -250,17 +246,21 @@ class TestComposeMessage:
             )
 
 
+def _block(round_no, values, origin=1):
+    return SignedHistory(np.array(values, dtype=np.float64), origin, round_no, b"s")
+
+
 class TestInferTrained:
     def test_consecutive_difference(self):
-        got = infer_trained((4, np.array([1.0, 1.0])), 5, np.array([3.0, 0.5]))
+        got = infer_trained(_block(4, [1.0, 1.0]), _block(5, [3.0, 0.5]))
         assert np.array_equal(got, [2.0, -0.5])
 
     def test_unknown_previous(self):
-        assert infer_trained(None, 5, np.array([1.0])) is None
+        assert infer_trained(None, _block(5, [1.0])) is None
 
     def test_gap_returns_none(self):
-        assert infer_trained((3, np.array([1.0])), 5, np.array([2.0])) is None
-        assert infer_trained((5, np.array([1.0])), 5, np.array([2.0])) is None
+        assert infer_trained(_block(3, [1.0]), _block(5, [2.0])) is None
+        assert infer_trained(_block(5, [1.0]), _block(5, [2.0])) is None
 
 
 class TestReceiveMessage:
@@ -273,13 +273,13 @@ class TestReceiveMessage:
         _, signers, keys = self._setup()
         relayed_hist = np.array([8.0])
         record = HistoryRecord(
-            6, relayed_hist, 3, distance=2, forwarder=7,
-            signature=signers[6].sign(relayed_hist, 3),
+            SignedHistory(relayed_hist, 6, 3, signers[6].sign(relayed_hist, 3)),
+            distance=2, forwarder=7,
         )
         msg = compose_message(_own(signers[1], [3.0], 5), record)
         db = HistoryDB()
-        res = receive_message(msg, db, (4, np.array([1.0])), keys, self_id=2)
-        assert res.sender == 1 and res.round == 5
+        res = receive_message(msg, db, _block(4, [1.0]), keys, self_id=2)
+        assert res.block.origin == 1 and res.block.round == 5
         assert np.array_equal(res.trained_model, [2.0])
         assert res.db_changes == {"own": "inserted", "gossip": "inserted"}
         assert db.records[1].distance == 1 and db.records[1].forwarder == 1
@@ -298,7 +298,7 @@ class TestReceiveMessage:
 
     def test_forged_gossip_block_rejects_whole_message(self):
         _, signers, keys = self._setup()
-        bogus = HistoryRecord(6, np.array([8.0]), 3, 2, 7, signature=b"fake")
+        bogus = HistoryRecord(SignedHistory(np.array([8.0]), 6, 3, b"fake"), 2, 7)
         msg = compose_message(_own(signers[1], [3.0], 5), bogus)
         db = HistoryDB()
         with pytest.raises(MessageRejected, match="gossiped block"):
@@ -317,14 +317,14 @@ class TestReceiveMessage:
         _, signers, keys = self._setup()
         msg = compose_message(_own(signers[1], [3.0], 2), None)
         with pytest.raises(MessageRejected, match="regresses"):
-            receive_message(msg, HistoryDB(), (4, np.array([1.0])), keys, self_id=2)
+            receive_message(msg, HistoryDB(), _block(4, [1.0]), keys, self_id=2)
 
     def test_gossip_about_self_ignored(self):
         _, signers, keys = self._setup()
         my_hist = np.array([5.0])
         about_me = HistoryRecord(
-            2, my_hist, 3, distance=2, forwarder=7,
-            signature=signers[2].sign(my_hist, 3),
+            SignedHistory(my_hist, 2, 3, signers[2].sign(my_hist, 3)),
+            distance=2, forwarder=7,
         )
         msg = compose_message(_own(signers[1], [3.0], 5), about_me)
         db = HistoryDB()
@@ -337,7 +337,7 @@ class TestReceiveMessage:
         msg = compose_message(_own(signers[1], [3.0], 5), None)
         db = HistoryDB()
         receive_message(msg, db, None, keys, self_id=2)
-        res = receive_message(msg, db, (5, np.array([3.0])), keys, self_id=2)
+        res = receive_message(msg, db, _block(5, [3.0]), keys, self_id=2)
         assert res.db_changes["own"] == "ignored"
 
 
@@ -350,4 +350,4 @@ class TestRecordValidation:
 
     def test_non_vector_history_rejected(self):
         with pytest.raises(ValueError):
-            HistoryRecord(1, np.zeros((2, 2)), 1, 1, 1, b"s")
+            HistoryRecord(SignedHistory(np.zeros((2, 2)), 1, 1, b"s"), 1, 1)

@@ -11,6 +11,7 @@ import pytest
 
 from sybilsim.topology import (
     CappingFailure,
+    PlanningFailure,
     SSPPlan,
     Topology,
     attach_sybils,
@@ -357,6 +358,20 @@ class TestPlanSspAttack:
         counts = plan.edges_per_honest()
         double = [n for n, c in counts.items() if c == 2]
         assert double == [4]
+
+    def test_full_node_pushes_its_edges_to_the_nearest_node_with_room(self):
+        """On a 5-node path at bound 3, the center medoid has room for one
+        attack edge only; its extra edge goes to the nearest end with room,
+        ties broken to the lower id."""
+        g = Topology(_path_graph(5).honest, frozenset(), _path_graph(5).edges, 3)
+        plan = plan_ssp_attack(g, 1.2, seed=0)
+        assert plan.edges_per_honest() == {0: 2, 1: 1, 2: 1, 3: 1, 4: 1}
+        validate_topology(attach_sybils(g, plan))
+
+    def test_no_room_anywhere_names_the_node(self):
+        g = Topology(_path_graph(3).honest, frozenset(), _path_graph(3).edges, 2)
+        with pytest.raises(PlanningFailure, match=r"^node 1: "):
+            plan_ssp_attack(g, 1.0, seed=0)
 
     def test_deterministic(self):
         g = cap_degrees(random_geometric_graph(12, 0.5, seed=2), 5, seed=0)
