@@ -1,4 +1,4 @@
-"""Behaviour pin: short runs must reproduce their committed metrics.csv.
+"""Behaviour pin: short runs must reproduce their committed metrics.csv and digests.
 
 Every aggregation rule is pinned: FedAvg by the quickstart, the plain
 rules and SybilWall on the label-flip config, and the three SybilWall
@@ -9,17 +9,26 @@ semantics (``run_simulation`` then ``write_outputs``) on the config built
 here.  A restructuring of the engine must reproduce them byte for byte; a
 golden file changes only together with a stated reason in CHANGES.md.
 
+Accuracies and attack scores are counts over the test set, so a one-ulp
+change in a model rarely reaches ``metrics.csv``.  Each run therefore also
+pins a ``.digest`` file with two sha256 digests: ``evaluated`` over the
+parameters of every model the engine evaluates (each active honest node's
+aggregated model before quantization, and the current model of each offline
+or recovering node, in round and id order), and ``final`` over the final
+models and then the final histories, in id order.
+
 Regenerate after an intended behaviour change with
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
 
+from sybilsim import engine
 from sybilsim.config import DowntimeEntry, load_config
-from sybilsim.engine import run_simulation
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "demos" / "configs"
@@ -68,16 +77,32 @@ RUNS.update(
 )
 
 
-def write_metrics(name, out_dir):
-    run_simulation(RUNS[name]()).write_outputs(out_dir)
-    return Path(out_dir) / "metrics.csv"
+def run_golden(name, out_dir):
+    """Run one config, write its outputs, and return (metrics.csv, digest text)."""
+    evaluated = hashlib.sha256()
+    evaluate_accuracy = engine.evaluate_accuracy
+
+    def hashing_evaluate(model, data):
+        evaluated.update(model.params.tobytes())
+        return evaluate_accuracy(model, data)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "evaluate_accuracy", hashing_evaluate)
+        result = engine.run_simulation(RUNS[name]())
+    result.write_outputs(out_dir)
+    final = hashlib.sha256()
+    for vectors in (result.final_models, result.final_histories):
+        for i in sorted(vectors):
+            final.update(vectors[i].tobytes())
+    digest = f"evaluated {evaluated.hexdigest()}\nfinal {final.hexdigest()}\n"
+    return (Path(out_dir) / "metrics.csv").read_bytes(), digest
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_run_matches_golden_metrics(name, tmp_path):
-    produced = write_metrics(name, tmp_path).read_bytes()
-    expected = (GOLDEN / f"{name}.metrics.csv").read_bytes()
-    assert produced == expected
+    metrics, digest = run_golden(name, tmp_path)
+    assert metrics == (GOLDEN / f"{name}.metrics.csv").read_bytes()
+    assert digest == (GOLDEN / f"{name}.digest").read_text()
 
 
 if __name__ == "__main__":
@@ -86,6 +111,7 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for run in sorted(RUNS):
         with tempfile.TemporaryDirectory() as tmp:
-            data = write_metrics(run, tmp).read_bytes()
-        (GOLDEN / f"{run}.metrics.csv").write_bytes(data)
-        print(f"wrote {GOLDEN / run}.metrics.csv")
+            metrics, digest = run_golden(run, tmp)
+        (GOLDEN / f"{run}.metrics.csv").write_bytes(metrics)
+        (GOLDEN / f"{run}.digest").write_text(digest)
+        print(f"wrote {GOLDEN / run}.metrics.csv and .digest")
