@@ -17,8 +17,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .numerics import cosine_similarity
-
 LOGIT_EPS = 1e-5
 
 
@@ -84,10 +82,11 @@ def foolsgold_scores(
 ) -> Dict[int, float]:
     """Score histories so near-duplicates end up near zero.
 
-    Pipeline: pairwise cosine similarity (self-similarity fixed at zero),
-    one pardoning pass scaling s_ij by the ratio of pre-pardon row maxima
-    whenever row i's maximum is smaller than row j's, complement of the row
-    maximum, rescale so the best score is 1, then a bounded logit
+    Pipeline: pairwise cosine similarity (self-similarity fixed at zero, and
+    zero against a zero history, which has no direction), one pardoning pass
+    scaling s_ij by the ratio of pre-pardon row maxima whenever row i's
+    maximum is smaller than row j's, complement of the row maximum, rescale
+    so the best score is 1, then a bounded logit
     w -> clip(kappa * (ln(w / (1 - w)) + 0.5), 0, 1) with inputs clipped to
     [logit_eps, 1 - logit_eps].
     """
@@ -97,17 +96,19 @@ def foolsgold_scores(
     if len(ids) != len(set(ids)):
         raise ValueError("duplicate node ids in histories")
     vectors = [_as_vector(h) for _, h in histories]
+    if any(v.size != vectors[0].size for v in vectors):
+        raise ValueError("histories must share one length")
+    norms = [np.linalg.norm(v) for v in vectors]
     n = len(vectors)
     sim = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            sim[i, j] = sim[j, i] = cosine_similarity(vectors[i], vectors[j])
+            if norms[i] != 0.0 and norms[j] != 0.0:
+                dot = np.dot(vectors[i], vectors[j])
+                sim[i, j] = sim[j, i] = dot / (norms[i] * norms[j])
     row_max = sim.max(axis=1)
-    pardoned = sim.copy()
-    for i in range(n):
-        for j in range(n):
-            if i != j and row_max[i] < row_max[j]:
-                pardoned[i, j] = sim[i, j] * row_max[i] / row_max[j]
+    max_i, max_j = row_max[:, None], row_max[None, :]
+    pardoned = np.divide(sim * max_i, max_j, out=sim.copy(), where=max_i < max_j)
     scores = 1.0 - pardoned.max(axis=1)
     top = scores.max()
     if top <= 0.0:

@@ -63,6 +63,7 @@ def _resolve(args) -> tuple:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
+        cfg.validate()
     out_dir = (
         args.out_dir
         or os.environ.get("SYBILSIM_OUT_DIR")

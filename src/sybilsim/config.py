@@ -28,6 +28,10 @@ AGGREGATORS = (
 
 ATTACK_KINDS = ("label_flip", "backdoor")
 
+# numpy seeds must be non-negative, and the engine packs the run seed into
+# each node's signing key as a signed 64-bit integer
+SEED_LIMIT = 2 ** 63
+
 
 class ConfigError(ValueError):
     """Invalid configuration; the message names the field path."""
@@ -117,6 +121,12 @@ class SimulationConfig:
         return asdict(self)
 
     def validate(self) -> "SimulationConfig":
+        _require(0 <= self.seed < SEED_LIMIT, "seed", "must lie in [0, 2**63)")
+        _require(
+            self.topology.seed is None or 0 <= self.topology.seed < SEED_LIMIT,
+            "topology.seed",
+            "must lie in [0, 2**63)",
+        )
         _require(self.rounds >= 1, "rounds", "must be >= 1")
         _require(self.honest_nodes >= 2, "honest_nodes", "must be >= 2")
         _require(self.degree_bound >= 2, "degree_bound", "must be >= 2")
@@ -233,6 +243,17 @@ def _check_type(annotation: str, value, path: str) -> None:
         raise ConfigError(f"{path}: expected {wanted}, got {type(value).__name__}")
 
 
+# the nested mappings of a config file; of these only ``attack`` may be null
+_SECTIONS = {
+    "topology": TopologyConfig,
+    "data": DataConfig,
+    "train": TrainSection,
+    "attack": AttackConfig,
+    "gossip": GossipConfig,
+    "rule_params": RuleParams,
+}
+
+
 def _build(cls, obj, path: str):
     """Fill a config dataclass from a dict, rejecting unknown keys."""
     if not isinstance(obj, dict):
@@ -245,18 +266,10 @@ def _build(cls, obj, path: str):
     kwargs = {}
     for key, value in obj.items():
         sub = f"{path}.{key}" if path else key
-        if key == "topology":
-            kwargs[key] = _build(TopologyConfig, value, sub)
-        elif key == "data":
-            kwargs[key] = _build(DataConfig, value, sub)
-        elif key == "train":
-            kwargs[key] = _build(TrainSection, value, sub)
-        elif key == "attack":
-            kwargs[key] = None if value is None else _build(AttackConfig, value, sub)
-        elif key == "gossip":
-            kwargs[key] = _build(GossipConfig, value, sub)
-        elif key == "rule_params":
-            kwargs[key] = _build(RuleParams, value, sub)
+        if key == "attack" and value is None:
+            kwargs[key] = None
+        elif key in _SECTIONS:
+            kwargs[key] = _build(_SECTIONS[key], value, sub)
         elif key == "downtime":
             if not isinstance(value, list):
                 raise ConfigError(f"{sub}: expected a list")

@@ -163,20 +163,3 @@ def evaluate_accuracy(model: Model, data) -> float:
     """Fraction of samples whose argmax prediction matches the label."""
     x, y = _check_data(model.arch, data)
     return float(np.mean(predict(model, x) == y))
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine of the angle between two vectors.
-
-    A zero vector carries no direction, so any comparison against one
-    returns 0.0 rather than dividing by zero.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))

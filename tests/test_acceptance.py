@@ -3,13 +3,17 @@
 Every check prints one PASS/FAIL line with its measured numbers (run with
 -s to see them all), then asserts.  The oracle and property checks are
 sub-minute; the trend checks run batches of full 150-round simulations
-over five seeds each and dominate the runtime at a few minutes total.
+over five seeds each and dominate the runtime.  Each trend test submits
+all its runs to one process pool with a worker per core; the runs share
+nothing, and a fast check pins pooled results to serial ones.
 """
 
-import functools
+import dataclasses
 import math
+import multiprocessing
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -119,60 +123,67 @@ def _scoring_oracle(histories, kappa=1.0, eps=1e-5):
 # --- shared simulation batches ----------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
+def _config(seed, aggregator, alpha, attack, capacity=None):
+    """One 150-round trend run: 16 honest nodes on the 64-dimensional blobs."""
+    return SimulationConfig(
+        seed=seed,
+        rounds=150,
+        aggregator=aggregator,
+        honest_nodes=16,
+        degree_bound=8,
+        topology=TopologyConfig(radius=0.7),
+        data=DataConfig(
+            kind="blobs", classes=10, per_class=40, test_per_class=25,
+            dim=64, spread=0.12, alpha=alpha,
+        ),
+        train=TrainSection(learning_rate=0.05, local_epochs=10, batch_size=8),
+        attack=attack,
+        gossip=GossipConfig(lam=0.8, capacity=capacity),
+        rule_params=RuleParams(kappa=8.0),
+    )
+
+
 def _trend(aggregator, phi, alpha):
-    """Mean final (accuracy, attack score) over the seed batch."""
-    accs, atks = [], []
-    for seed in SEEDS:
-        cfg = SimulationConfig(
-            seed=seed,
-            rounds=150,
-            aggregator=aggregator,
-            honest_nodes=16,
-            degree_bound=8,
-            topology=TopologyConfig(radius=0.7),
-            data=DataConfig(
-                kind="blobs", classes=10, per_class=40, test_per_class=25,
-                dim=64, spread=0.12, alpha=alpha,
-            ),
-            train=TrainSection(learning_rate=0.05, local_epochs=10, batch_size=8),
-            attack=AttackConfig(kind="label_flip", phi=phi, source=1, target=2),
-            gossip=GossipConfig(lam=0.8, capacity=None),
-            rule_params=RuleParams(kappa=8.0),
-        )
-        last = run_simulation(cfg).metrics[-1]
-        accs.append(last.mean_accuracy)
-        atks.append(last.mean_attack_score)
-    return float(np.mean(accs)), float(np.mean(atks))
+    """The seed batch of a label-flip run."""
+    attack = AttackConfig(kind="label_flip", phi=phi, source=1, target=2)
+    return [_config(seed, aggregator, alpha, attack) for seed in SEEDS]
 
 
-@functools.lru_cache(maxsize=None)
 def _enhancement(aggregator):
-    accs, atks = [], []
-    for seed in SEEDS:
-        cfg = SimulationConfig(
-            seed=seed,
-            rounds=150,
-            aggregator=aggregator,
-            honest_nodes=16,
-            degree_bound=8,
-            topology=TopologyConfig(radius=0.7),
-            data=DataConfig(
-                kind="blobs", classes=10, per_class=40, test_per_class=25,
-                dim=64, spread=0.12, alpha=ENHANCEMENT_ALPHA,
-            ),
-            train=TrainSection(learning_rate=0.05, local_epochs=10, batch_size=8),
-            attack=AttackConfig(
-                kind="backdoor", phi=1.0, target=2, pattern_size=3,
-                pattern_value=1.0,
-            ),
-            gossip=GossipConfig(lam=0.8, capacity=ENHANCEMENT_CAPACITY),
-            rule_params=RuleParams(kappa=8.0),
-        )
-        last = run_simulation(cfg).metrics[-1]
-        accs.append(last.mean_accuracy)
-        atks.append(last.mean_attack_score)
-    return float(np.mean(accs)), float(np.mean(atks))
+    """The seed batch of a backdoor run against a bounded history db."""
+    attack = AttackConfig(
+        kind="backdoor", phi=1.0, target=2, pattern_size=3, pattern_value=1.0
+    )
+    return [
+        _config(seed, aggregator, ENHANCEMENT_ALPHA, attack, ENHANCEMENT_CAPACITY)
+        for seed in SEEDS
+    ]
+
+
+def _final_metrics(cfg):
+    # only the last round travels back: a RunResult does not pickle
+    return run_simulation(cfg).metrics[-1]
+
+
+def _pooled(configs):
+    """Final-round metrics of each config, run on one process per core."""
+    workers = min(len(configs), os.cpu_count() or 1)
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
+        return list(pool.map(_final_metrics, configs))
+
+
+def _means(*batches):
+    """Mean final (accuracy, attack score) of each batch; all share one pool."""
+    finals = iter(_pooled([cfg for batch in batches for cfg in batch]))
+    out = []
+    for batch in batches:
+        last = [next(finals) for _ in batch]
+        out.append((
+            float(np.mean([m.mean_accuracy for m in last])),
+            float(np.mean([m.mean_attack_score for m in last])),
+        ))
+    return out
 
 
 # --- the gate ----------------------------------------------------------------
@@ -334,8 +345,9 @@ def test_outage_reconstruction_and_resume():
 
 def test_defense_cuts_attack_score_of_plain_averaging():
     start = time.perf_counter()
-    defense_acc, defense_atk = _trend("sybilwall", 1.0, 0.1)
-    plain_acc, plain_atk = _trend("fedavg", 1.0, 0.1)
+    (defense_acc, defense_atk), (plain_acc, plain_atk) = _means(
+        _trend("sybilwall", 1.0, 0.1), _trend("fedavg", 1.0, 0.1)
+    )
     elapsed = time.perf_counter() - start
     ok = (
         defense_atk < 0.5 * plain_atk
@@ -351,8 +363,9 @@ def test_defense_cuts_attack_score_of_plain_averaging():
 
 
 def test_dense_attack_overwhelms_plain_averaging_only():
-    plain_acc, plain_atk = _trend("fedavg", 4.0, 0.1)
-    defense_acc, defense_atk = _trend("sybilwall", 4.0, 0.1)
+    (plain_acc, plain_atk), (defense_acc, defense_atk) = _means(
+        _trend("fedavg", 4.0, 0.1), _trend("sybilwall", 4.0, 0.1)
+    )
     ok = plain_atk > 0.8 and defense_atk < 0.3
     _report(
         "dense-attack-collapse",
@@ -363,8 +376,9 @@ def test_dense_attack_overwhelms_plain_averaging_only():
 
 
 def test_extra_sybils_add_nothing():
-    _, sparse_atk = _trend("sybilwall", 0.5, 0.1)
-    _, dense_atk = _trend("sybilwall", 2.0, 0.1)
+    (_, sparse_atk), (_, dense_atk) = _means(
+        _trend("sybilwall", 0.5, 0.1), _trend("sybilwall", 2.0, 0.1)
+    )
     ok = dense_atk < sparse_atk
     _report(
         "sybil-density-monotonicity",
@@ -374,8 +388,9 @@ def test_extra_sybils_add_nothing():
 
 
 def test_noniid_data_amplifies_the_attack():
-    skewed_acc, skewed_atk = _trend("sybilwall", 1.0, 0.05)
-    mixed_acc, mixed_atk = _trend("sybilwall", 1.0, 1.0)
+    (skewed_acc, skewed_atk), (mixed_acc, mixed_atk) = _means(
+        _trend("sybilwall", 1.0, 0.05), _trend("sybilwall", 1.0, 1.0)
+    )
     ok = skewed_atk >= mixed_atk and mixed_acc >= skewed_acc
     _report(
         "data-skew-effect",
@@ -424,11 +439,27 @@ def test_example_config_runs_byte_identical(tmp_path):
 
 
 def test_enhancements_trade_accuracy_for_suppression():
-    plain_acc, plain_atk = _enhancement("sybilwall")
+    names = ("sybilwall+median", "sybilwall+wmedian", "sybilwall+krumfilter")
+    (plain_acc, plain_atk), *enhanced = _means(
+        _enhancement("sybilwall"), *(_enhancement(name) for name in names)
+    )
     details = [f"plain atk {plain_atk:.3f} acc {plain_acc:.3f}"]
     ok = True
-    for name in ("sybilwall+median", "sybilwall+wmedian", "sybilwall+krumfilter"):
-        acc, atk = _enhancement(name)
+    for name, (acc, atk) in zip(names, enhanced):
         details.append(f"{name.split('+')[1]} atk {atk:.3f} acc {acc:.3f}")
         ok = ok and atk <= plain_atk and plain_acc >= acc - 0.02
     _report("enhancement-tradeoff", ok, "; ".join(details))
+
+
+def test_pooled_runs_equal_serial_runs():
+    """The process pool changes where a run happens, never what it returns."""
+    batches = _trend("sybilwall", 1.0, 0.1), _enhancement("sybilwall+krumfilter")
+    configs = [dataclasses.replace(cfg, rounds=3) for b in batches for cfg in b[:2]]
+    pooled = _pooled(configs)
+    serial = [_final_metrics(cfg) for cfg in configs]
+    _report(
+        "pooled-equals-serial",
+        pooled == serial,
+        f"{len(configs)} short runs, final rounds "
+        + ", ".join(f"{m.mean_accuracy:.3f}/{m.mean_attack_score:.3f}" for m in pooled),
+    )

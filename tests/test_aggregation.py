@@ -6,6 +6,7 @@ enumeration, and the median variants against hand-worked examples.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +160,21 @@ class TestFoolsgoldScores:
         for node in soft:
             if 0.0 < soft[node] < 1.0:
                 assert hard[node] >= soft[node]
+
+    def test_zero_history_scores_as_orthogonal(self):
+        """A zero history has no direction: it is dissimilar to everything,
+        and scoring it divides by no zero norm."""
+        clone = np.array([1.0, 2.0, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            scores = foolsgold_scores(
+                [(0, np.zeros(3)), (1, clone), (2, clone.copy())]
+            )
+        assert scores == {0: 1.0, 1: 0.0, 2: 0.0}
+
+    def test_rejects_histories_of_different_lengths(self):
+        with pytest.raises(ValueError):
+            foolsgold_scores([(0, np.array([1.0])), (1, np.array([1.0, 2.0]))])
 
     def test_rejects_short_or_duplicate_input(self):
         with pytest.raises(ValueError):

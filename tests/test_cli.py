@@ -144,6 +144,43 @@ class TestValidate:
         assert main(args) == EXIT_CONFIG
         assert f"config error: {field}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, extra, field",
+        [
+            pytest.param(
+                BASE_YAML.replace("seed: 11", "seed: -1"), [], "seed", id="negative-seed"
+            ),
+            pytest.param(BASE_YAML, ["--seed", "-1"], "seed", id="negative-seed-flag"),
+            pytest.param(
+                BASE_YAML, ["--seed", str(2**63)], "seed", id="seed-flag-past-int64"
+            ),
+            pytest.param(
+                BASE_YAML.replace("  radius: 0.7", "  radius: 0.7\n  seed: -5"),
+                [],
+                "topology.seed",
+                id="negative-topology-seed",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["validate", "run", "topology", "sweep"])
+    def test_seed_the_run_cannot_use_is_a_config_error(
+        self, tmp_path, capsys, text, extra, field, command
+    ):
+        """A seed outside [0, 2**63) fails every command before any work."""
+        path = tmp_path / "seeded.yaml"
+        path.write_text(text)
+        args = [command, "--config", str(path), "--out-dir", str(tmp_path / "out")]
+        if command == "sweep":
+            args += ["--axis", "aggregator", "--values", "fedavg"]
+        assert main(args + extra) == EXIT_CONFIG
+        assert f"config error: {field}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_largest_seed_runs(self, config_file, tmp_path):
+        args = ["--config", config_file, "--seed", str(2**63 - 1)]
+        assert main(["validate"] + args) == EXIT_OK
+        assert main(["run", "--out-dir", str(tmp_path)] + args) == EXIT_OK
+
     def test_int_for_float_and_null_for_optional_accepted(self, tmp_path):
         path = tmp_path / "loose.yaml"
         path.write_text(

@@ -9,7 +9,6 @@ from sybilsim.numerics import (
     Model,
     NumericFailure,
     TrainConfig,
-    cosine_similarity,
     cross_entropy_loss,
     evaluate_accuracy,
     init_model,
@@ -165,20 +164,3 @@ class TestPrediction:
         model = Model(params, arch)
         data = _Data([[-2.0], [3.0], [1.0], [-1.0]], [0, 1, 0, 0])
         assert evaluate_accuracy(model, data) == pytest.approx(0.75)
-
-
-class TestCosineSimilarity:
-    def test_parallel_and_antiparallel(self):
-        a = np.array([1.0, 2.0, 3.0])
-        assert cosine_similarity(a, 2 * a) == pytest.approx(1.0)
-        assert cosine_similarity(a, -a) == pytest.approx(-1.0)
-
-    def test_orthogonal(self):
-        assert cosine_similarity([1.0, 0.0], [0.0, 5.0]) == pytest.approx(0.0)
-
-    def test_zero_vector_yields_zero(self):
-        assert cosine_similarity([0.0, 0.0], [1.0, 1.0]) == 0.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            cosine_similarity([1.0], [1.0, 2.0])
