@@ -178,17 +178,41 @@ class Signer:
 
 @dataclass(frozen=True)
 class Verifier:
-    """Directory of public keys for checking any node's blocks."""
+    """Directory of public keys for checking any node's blocks.
+
+    The engine hands one signed block to many receivers, so each distinct
+    block is verified once per run: the answer is memoized under a 32-byte
+    blake2b digest of the signed payload followed by the signature.  Whether
+    a block verifies depends only on its public key, payload and signature,
+    and here the origin in the payload fixes the public key, so a memo hit
+    returns what a fresh verification would.  A block whose history, round,
+    origin or signature changed after signing has a new digest, misses the
+    memo and is verified, and rejected, on its own.  The memo lives and dies
+    with this ``Verifier``, one per run.
+    """
 
     scheme: object
     public_keys: Dict[int, object]
+    _verified: Dict[bytes, bool] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def check(self, block: SignedHistory) -> bool:
         key = self.public_keys.get(block.origin)
         if key is None:
             return False
         payload = sign_payload(block.history, block.round, block.origin)
-        return self.scheme.verify(key, payload, block.signature)
+        # The payload carries its own length, so payload + signature splits
+        # one way only.
+        digest = hashlib.blake2b(payload, digest_size=32)
+        digest.update(block.signature)
+        memo = digest.digest()
+        ok = self._verified.get(memo)
+        if ok is None:
+            ok = self._verified[memo] = self.scheme.verify(
+                key, payload, block.signature
+            )
+        return ok
 
 
 # --- database operations ---------------------------------------------------
@@ -292,10 +316,14 @@ def receive_message(
     carried distance.
     """
     if not keys.check(msg.own):
-        raise MessageRejected(f"own block from node {msg.own.origin} fails verification")
+        raise MessageRejected(
+            f"own block from node {msg.own.origin} round {msg.own.round} "
+            "fails verification"
+        )
     if msg.gossiped is not None and not keys.check(msg.gossiped):
         raise MessageRejected(
-            f"gossiped block from node {msg.gossiped.origin} fails verification"
+            f"gossiped block from node {msg.gossiped.origin} "
+            f"round {msg.gossiped.round} fails verification"
         )
     if prev_known is not None and msg.own.round < prev_known.round:
         raise MessageRejected(

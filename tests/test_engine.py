@@ -9,6 +9,7 @@ lifecycle.
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from sybilsim.config import (
     SimulationConfig,
     TopologyConfig,
     TrainSection,
+    load_config,
 )
 from sybilsim.data import LabelFlip, synth_blobs
 from sybilsim.engine import (
@@ -171,8 +173,8 @@ class TestGossipCapacity:
         assert bounded.direct_counts == unbounded.direct_counts
 
 
-def _tampered_run(monkeypatch, tamper, rounds=8):
-    """Run with node 0's outgoing messages passed through ``tamper``."""
+def _tampered_run(monkeypatch, tamper, rounds=8, **over):
+    """Run ``_cfg`` with node 0's outgoing messages passed through ``tamper``."""
     import sybilsim.engine as engine
 
     compose = engine.compose_message
@@ -182,7 +184,7 @@ def _tampered_run(monkeypatch, tamper, rounds=8):
         return tamper(msg) if own.origin == 0 else msg
 
     monkeypatch.setattr(engine, "compose_message", wrapped)
-    return run_simulation(_cfg(rounds=rounds), trace=True)
+    return run_simulation(_cfg(rounds=rounds, **over), trace=True)
 
 
 def _rounds_inferred_from(res, sender):
@@ -256,6 +258,47 @@ class TestRejectedMessages:
     def test_clean_run_rejects_nothing(self):
         res = run_simulation(_attack_cfg())
         assert res.rejected_counts == [0] * res.config.rounds
+
+
+class TestEd25519Runs:
+    """Real signatures verify like the blake2 stand-in: a clean run matches
+    the blake2 run byte for byte, and a forgery is still dropped."""
+
+    def test_clean_backdoor_run_equals_the_blake2_run(self):
+        def run(scheme):
+            cfg = load_config(
+                Path(__file__).resolve().parents[1]
+                / "demos" / "configs" / "backdoor_enhancements.yaml"
+            )
+            cfg.rounds = 12
+            cfg.gossip.scheme = scheme
+            return run_simulation(cfg.validate())
+
+        ed, blake = run("ed25519"), run("blake2")
+        assert ed.rejected_counts == [0] * ed.config.rounds
+        assert ed.metrics_csv() == blake.metrics_csv()
+        assert sorted(ed.final_models) == sorted(blake.final_models)
+        for i in ed.final_models:
+            assert ed.final_models[i].tobytes() == blake.final_models[i].tobytes()
+            assert ed.final_histories[i].tobytes() == blake.final_histories[i].tobytes()
+
+    def test_forged_history_is_dropped_and_counted(self, monkeypatch):
+        def forge(msg):
+            if msg.own.round != 3:
+                return msg
+            altered = msg.own.history.copy()
+            altered[0] += 1.0
+            own = SignedHistory(altered, msg.own.origin, 3, msg.own.signature)
+            return RoundMessage(own, msg.gossiped, msg.gossip_distance)
+
+        ed25519 = GossipConfig(lam=0.8, scheme="ed25519")
+        res = _tampered_run(monkeypatch, forge, gossip=ed25519)
+        deg = len(res.topology.neighbors(0))
+        assert deg > 0
+        assert res.rejected_counts == [0, 0, 0, 0, deg, 0, 0, 0]
+        assert _rounds_inferred_from(res, 0) == {1, 2, 5, 6}
+        for _, sender, rnd, vec in res.inferred_trace:
+            assert np.array_equal(vec, res.trained_trace[(sender, rnd)])
 
 
 class TestNumericFailure:

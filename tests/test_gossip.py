@@ -1,6 +1,6 @@
 """Gossip layer checks: signed bytes against a hand-packed golden, signature
-cover, signature schemes, the relay filter, distance-weighted selection, and
-receive rules."""
+cover, the verifier's per-run memo, signature schemes, the relay filter,
+distance-weighted selection, and receive rules."""
 
 import struct
 
@@ -44,6 +44,11 @@ def _own(signer, values, round_no):
     return SignedHistory(history, signer.node_id, round_no, signer.sign(history, round_no))
 
 
+BOTH_SCHEMES = pytest.mark.parametrize(
+    "scheme", [Blake2Scheme(), Ed25519Scheme()], ids=lambda s: s.name
+)
+
+
 def _network(scheme, ids):
     signers = {}
     publics = {}
@@ -84,6 +89,110 @@ class TestWireFormat:
                     block.history, block.origin, block.round ^ (1 << bit), block.signature
                 )
                 assert not keys.check(moved), f"round bit {bit} still verifies"
+
+
+    @BOTH_SCHEMES
+    def test_signature_bit_flips_and_moved_origins_never_verify(self, scheme):
+        """Any single-bit change to the signature, or an origin moved to
+        another known node, fails verification, in the own block or the
+        relayed one."""
+        signers, keys = _network(scheme, [1, 4, 6])
+        relayed_hist = np.array([8.0, -1.0])
+        record = HistoryRecord(
+            SignedHistory(relayed_hist, 6, 3, signers[6].sign(relayed_hist, 3)),
+            2, forwarder=4,
+        )
+        msg = compose_message(_own(signers[1], [0.5], 4), record)
+        for block in (msg.own, msg.gossiped):
+            assert keys.check(block)
+            for bit in range(8 * len(block.signature)):
+                corrupt = bytearray(block.signature)
+                corrupt[bit // 8] ^= 1 << (bit % 8)
+                forged = SignedHistory(
+                    block.history, block.origin, block.round, bytes(corrupt)
+                )
+                assert not keys.check(forged), f"signature bit {bit} still verifies"
+            for origin in sorted(set(keys.public_keys) - {block.origin}):
+                moved = SignedHistory(
+                    block.history, origin, block.round, block.signature
+                )
+                assert not keys.check(moved), f"origin moved to {origin} verifies"
+
+
+class _CountingScheme:
+    """A signature scheme that counts the calls to its ``verify``."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.verify_calls = 0
+
+    def keypair(self, seed_material):
+        return self.inner.keypair(seed_material)
+
+    def sign(self, private, payload):
+        return self.inner.sign(private, payload)
+
+    def verify(self, public, payload, signature):
+        self.verify_calls += 1
+        return self.inner.verify(public, payload, signature)
+
+
+@BOTH_SCHEMES
+class TestVerifierMemo:
+    """A ``Verifier`` verifies each distinct block once, and only its own
+    answers are reused."""
+
+    def _setup(self, scheme):
+        counting = _CountingScheme(scheme)
+        signers, keys = _network(counting, [1, 6])
+        return counting, signers, keys
+
+    def test_repeated_checks_verify_once(self, scheme):
+        counting, signers, keys = self._setup(scheme)
+        block = _own(signers[1], [0.5, -2.0], 4)
+        twin = SignedHistory(block.history.copy(), 1, 4, block.signature)
+        for candidate in (block, block, twin, block):
+            assert keys.check(candidate)
+        assert counting.verify_calls == 1
+        assert keys.check(_own(signers[6], [0.5, -2.0], 4))
+        assert counting.verify_calls == 2
+
+    def test_fresh_verifier_verifies_again(self, scheme):
+        counting, signers, keys = self._setup(scheme)
+        block = _own(signers[1], [3.0], 2)
+        assert keys.check(block)
+        fresh = Verifier(counting, keys.public_keys)
+        assert fresh.check(block)
+        assert counting.verify_calls == 2
+
+    def test_forgeries_miss_the_memo_and_fail(self, scheme):
+        counting, signers, keys = self._setup(scheme)
+        block = _own(signers[1], [3.0, 1.5], 5)
+        assert keys.check(block)
+        altered = block.history.copy()
+        altered[1] = 1.75
+        flipped = bytearray(block.signature)
+        flipped[0] ^= 1
+        forgeries = [
+            SignedHistory(altered, 1, 5, block.signature),
+            SignedHistory(block.history, 1, 5, bytes(flipped)),
+            SignedHistory(block.history, 6, 5, block.signature),
+        ]
+        for forged in forgeries:
+            assert not keys.check(forged)
+        assert counting.verify_calls == 1 + len(forgeries)
+        assert keys.check(block)
+        assert counting.verify_calls == 1 + len(forgeries)
+
+    def test_failed_block_fails_again(self, scheme):
+        counting, signers, keys = self._setup(scheme)
+        genuine = _own(signers[6], [8.0], 3)
+        bogus = SignedHistory(genuine.history, 6, 3, bytes(len(genuine.signature)))
+        assert not keys.check(bogus)
+        assert not keys.check(bogus)
+        assert counting.verify_calls == 1
+        assert keys.check(genuine)
 
 
 class TestSchemes:
@@ -304,6 +413,16 @@ class TestReceiveMessage:
         with pytest.raises(MessageRejected, match="gossiped block"):
             receive_message(msg, db, None, keys, self_id=2)
         assert len(db) == 0
+
+    def test_rejection_names_the_node_and_round(self):
+        _, signers, keys = self._setup()
+        forged = RoundMessage(own=SignedHistory(np.array([9.0]), 1, 5, b"fake"))
+        with pytest.raises(MessageRejected, match=r"^own block from node 1 round 5 "):
+            receive_message(forged, HistoryDB(), None, keys, self_id=2)
+        bogus = HistoryRecord(SignedHistory(np.array([8.0]), 6, 3, b"fake"), 2, 7)
+        msg = compose_message(_own(signers[1], [3.0], 5), bogus)
+        with pytest.raises(MessageRejected, match=r"^gossiped block from node 6 round 3 "):
+            receive_message(msg, HistoryDB(), None, keys, self_id=2)
 
     def test_unknown_origin_rejected(self):
         scheme = Blake2Scheme()
