@@ -1,8 +1,8 @@
 """Experiment runner: single runs, parameter sweeps, topology inspection.
 
 Exit codes: 0 success, 2 configuration problem, 3 runtime failure.
-The environment variable SYBILSIM_OUT_DIR supplies the output directory
-when ``--out-dir`` is absent; every other knob comes from the config file.
+The output directory is ``--out-dir``, else the environment variable
+SYBILSIM_OUT_DIR, else ``runs``; every other knob comes from the config file.
 """
 
 from __future__ import annotations
@@ -64,13 +64,7 @@ def _resolve(args) -> tuple:
     if args.seed is not None:
         cfg.seed = args.seed
         cfg.validate()
-    out_dir = (
-        args.out_dir
-        or os.environ.get("SYBILSIM_OUT_DIR")
-        or cfg.out_dir
-        or "runs"
-    )
-    return cfg, out_dir
+    return cfg, args.out_dir or os.environ.get("SYBILSIM_OUT_DIR") or "runs"
 
 
 def cmd_run(args) -> int:

@@ -37,7 +37,7 @@ from .aggregation import (
     sybilwall_weights,
     weighted_average,
 )
-from .config import SimulationConfig
+from .config import ConfigError, SimulationConfig
 from .data import (
     Backdoor,
     LabeledDataset,
@@ -158,6 +158,7 @@ def _git_describe() -> str:
             capture_output=True,
             text=True,
             timeout=5,
+            cwd=os.path.dirname(os.path.abspath(__file__)),
         )
         return out.stdout.strip() if out.returncode == 0 else "unknown"
     except OSError:
@@ -205,12 +206,20 @@ def _build_datasets(cfg: SimulationConfig) -> Tuple[LabeledDataset, LabeledDatas
     return train, test
 
 
-def _build_attack_spec(cfg: SimulationConfig, dim: int):
+def _build_attack_spec(cfg: SimulationConfig, train_set: LabeledDataset):
     a = cfg.attack
     if a is None:
         return None
+    # idx data fixes its class count only once the files are loaded
+    for name in ("source", "target") if a.kind == "label_flip" else ("target",):
+        if getattr(a, name) >= train_set.n_classes:
+            raise ConfigError(
+                f"attack.{name}: class out of range for the "
+                f"{train_set.n_classes} classes loaded"
+            )
     if a.kind == "label_flip":
         return LabelFlip(a.source, a.target)
+    dim = train_set.dim
     if cfg.data.kind == "idx":
         width = int(round(math.sqrt(dim)))
         pattern = corner_block_pattern(width, size=a.pattern_size, value=a.pattern_value)
@@ -226,9 +235,9 @@ def _adversary_draw(
 ) -> np.ndarray:
     """Pick the adversary's sample indices from the global training pool.
 
-    For label flips, up to half the draw comes from the two swapped
-    classes; the remainder (and the whole draw for backdoors) is uniform
-    over what is left.
+    For label flips, half the draw rounded up comes from the two swapped
+    classes, or all of them if they hold fewer samples; the remainder (and
+    the whole draw for backdoors) is uniform over what is left.
     """
     n = len(train_set)
     chosen = np.empty(0, dtype=np.intp)
@@ -276,7 +285,7 @@ def _receive_all(
 
 
 def _aggregate(
-    cfg: SimulationConfig,
+    kappa: float,
     state: _NodeState,
     received: Dict[int, Tuple[np.ndarray, np.ndarray]],
     sizes: Dict[int, int],
@@ -302,25 +311,16 @@ def _aggregate(
     if name == "median":
         return coordinate_median(models), False
     if name in ("krum", "multikrum"):
+        # Krum tolerates f Byzantine inputs among n when n >= 2f + 3
         n = len(models)
-        f = cfg.rule_params.krum_f
-        if f is None:
-            f = max(0, (n - 3) // 2)
-        if n < f + 3:
+        if n < 3:
             return np.stack(models).mean(axis=0), False
+        f = (n - 3) // 2
         if name == "krum":
             return krum_select(models, f), False
-        m = cfg.rule_params.multikrum_m
-        if m is None:
-            m = math.ceil(n / 2)
-        m = min(max(1, m), n)
-        return multi_krum(models, f, m), False
+        return multi_krum(models, f, math.ceil(n / 2)), False
     if name == "foolsgold":
-        scores = foolsgold_scores(
-            [(i, h) for i, _, h in everyone],
-            kappa=cfg.rule_params.kappa,
-            logit_eps=cfg.rule_params.logit_eps,
-        )
+        scores = foolsgold_scores([(i, h) for i, _, h in everyone], kappa=kappa)
         total = sum(scores.values())
         if total <= 0:
             return state.model.copy(), False
@@ -334,9 +334,7 @@ def _aggregate(
         if p != state.id and p not in received
     )
     c = ContributionSet(own=own, direct=direct, indirect=indirect)
-    weights, degenerate = sybilwall_weights(
-        c, kappa=cfg.rule_params.kappa, logit_eps=cfg.rule_params.logit_eps
-    )
+    weights, degenerate = sybilwall_weights(c, kappa=kappa)
     return apply_weights(c, weights, enhancement), degenerate
 
 
@@ -391,7 +389,7 @@ def run_simulation(
     plan, full_g = build_network(cfg)
     train_set, test_set = _build_datasets(cfg)
     arch = Architecture(input_dim=train_set.dim, n_classes=train_set.n_classes)
-    spec = _build_attack_spec(cfg, train_set.dim)
+    spec = _build_attack_spec(cfg, train_set)
 
     parts = dirichlet_partition(
         train_set,
@@ -517,7 +515,9 @@ def run_simulation(
                 scores.append(_evaluate(Model(state.model, arch), test_set, spec))
                 continue
             if honest or i == designated:
-                aggregated, degenerate = _aggregate(cfg, state, received, sizes)
+                aggregated, degenerate = _aggregate(
+                    cfg.rule_params.kappa, state, received, sizes
+                )
                 start = Model(aggregated, arch)
                 if honest:
                     activity[i][rnd] = "active"

@@ -4,18 +4,23 @@ import json
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
+from dataclasses import is_dataclass
 from pathlib import Path
+from typing import get_args, get_type_hints
 
+import numpy as np
 import pytest
 
 import sybilsim
 from sybilsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
-from sybilsim.config import load_config
+from sybilsim.config import SimulationConfig, load_config
 from sybilsim.engine import run_simulation
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = PYPROJECT.parent / "README.md"
 
 BASE_YAML = """\
 seed: 11
@@ -88,11 +93,24 @@ class TestValidate:
         assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
-    def test_unknown_field(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "extra, field",
+        [
+            ("aggegator: fedavg\n", "aggegator"),
+            ("rule_params:\n  krum_f: 1\n", "rule_params.krum_f"),
+            ("rule_params:\n  multikrum_m: 2\n", "rule_params.multikrum_m"),
+            ("rule_params:\n  logit_eps: 1.0e-5\n", "rule_params.logit_eps"),
+            ("out_dir: elsewhere\n", "out_dir"),
+        ],
+        ids=["aggegator", "krum_f", "multikrum_m", "logit_eps", "out_dir"],
+    )
+    def test_unknown_field(self, tmp_path, capsys, extra, field):
+        # a typo, and the settings that are derived (Krum's f, Multi-Krum's
+        # m), fixed (the logit clip) or left to the command line (output)
         path = tmp_path / "typo.yaml"
-        path.write_text(BASE_YAML + "aggegator: fedavg\n")
+        path.write_text(BASE_YAML + extra)
         assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
-        assert "unknown field" in capsys.readouterr().err
+        assert f"{field}: unknown field" in capsys.readouterr().err
 
     def test_unknown_aggregator(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
@@ -221,6 +239,12 @@ class TestRun:
         monkeypatch.setenv("SYBILSIM_OUT_DIR", str(target))
         assert main(["run", "--config", config_file]) == EXIT_OK
         assert (target / "metrics.csv").exists()
+
+    def test_out_dir_defaults_to_runs(self, config_file, tmp_path, monkeypatch):
+        monkeypatch.delenv("SYBILSIM_OUT_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", config_file]) == EXIT_OK
+        assert (tmp_path / "runs" / "metrics.csv").exists()
 
     def test_runtime_failure_exit_code(self, config_file, tmp_path, monkeypatch, capsys):
         def boom(cfg, workers=1):
@@ -397,6 +421,149 @@ def assert_validates(cmd, env=None):
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
     assert "config ok" in proc.stdout
+
+
+def _write_idx(path: Path, images: np.ndarray, labels: np.ndarray) -> None:
+    n, rows, cols = images.shape
+    (path / "images").write_bytes(
+        struct.pack(">IIII", 0x803, n, rows, cols) + images.astype(np.uint8).tobytes()
+    )
+    (path / "labels").write_bytes(
+        struct.pack(">II", 0x801, n) + labels.astype(np.uint8).tobytes()
+    )
+
+
+IDX_YAML = """\
+seed: 3
+rounds: 3
+aggregator: sybilwall
+honest_nodes: 6
+degree_bound: 8
+topology:
+  radius: 0.8
+data:
+  kind: idx
+  alpha: 1.0
+  images_path: {root}/train/images
+  labels_path: {root}/train/labels
+  test_images_path: {root}/test/images
+  test_labels_path: {root}/test/labels
+train:
+  local_epochs: 2
+attack:
+{attack}"""
+
+BACKDOOR_ATTACK = """\
+  kind: backdoor
+  phi: 1.0
+  target: {target}
+  pattern_size: 2
+"""
+
+FLIP_ATTACK = """\
+  kind: label_flip
+  phi: 1.0
+  source: {source}
+  target: {target}
+"""
+
+
+class TestIdxData:
+    """Runs on 4x4 IDX images of 3 classes, whose class count the config
+    cannot know before the files are loaded."""
+
+    @pytest.fixture
+    def idx_root(self, tmp_path):
+        rng = np.random.default_rng(0)
+        for split, per_class in (("train", 12), ("test", 5)):
+            labels = np.repeat(np.arange(3), per_class)
+            images = rng.integers(0, 60, (len(labels), 4, 4))
+            for c in range(3):  # one bright row per class
+                images[labels == c, c + 1, :] += 180
+            (tmp_path / split).mkdir()
+            _write_idx(tmp_path / split, images, labels)
+        return tmp_path
+
+    def _config(self, root: Path, attack: str) -> str:
+        path = root / "idx.yaml"
+        path.write_text(IDX_YAML.format(root=root, attack=attack))
+        return str(path)
+
+    def test_backdoor_run_completes_and_reruns_identically(self, idx_root):
+        config = self._config(idx_root, BACKDOOR_ATTACK.format(target=2))
+        out = idx_root / "out"
+        assert main(["run", "--config", config, "--out-dir", str(out)]) == EXIT_OK
+        csv = (out / "metrics.csv").read_text()
+        assert len(csv.strip().split("\n")) == 4  # header + 3 rounds
+        first, again = (run_simulation(load_config(config)) for _ in range(2))
+        assert first.metrics_csv() == again.metrics_csv() == csv
+        for i in first.topology.honest:
+            assert np.array_equal(first.final_models[i], again.final_models[i])
+            assert np.array_equal(first.final_histories[i], again.final_histories[i])
+
+    @pytest.mark.parametrize(
+        "attack, field",
+        [
+            (BACKDOOR_ATTACK.format(target=5), "attack.target"),
+            (FLIP_ATTACK.format(source=1, target=7), "attack.target"),
+            (FLIP_ATTACK.format(source=4, target=1), "attack.source"),
+        ],
+        ids=["backdoor-target", "flip-target", "flip-source"],
+    )
+    def test_class_beyond_the_loaded_labels_is_a_config_error(
+        self, idx_root, capsys, attack, field
+    ):
+        config = self._config(idx_root, attack)
+        assert main(["validate", "--config", config]) == EXIT_OK
+        code = main(["run", "--config", config, "--out-dir", str(idx_root / "x")])
+        assert code == EXIT_CONFIG
+        assert f"config error: {field}: class out of range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "attack, field, problem",
+        [
+            (BACKDOOR_ATTACK.format(target=-1), "attack.target", "class out of range"),
+            (FLIP_ATTACK.format(source=-1, target=1), "attack.source", "class out of range"),
+            (FLIP_ATTACK.format(source=2, target=2), "attack.target", "must differ"),
+        ],
+        ids=["negative-target", "negative-source", "source-is-target"],
+    )
+    def test_validate_checks_what_it_can_know(
+        self, idx_root, capsys, attack, field, problem
+    ):
+        config = self._config(idx_root, attack)
+        assert main(["validate", "--config", config]) == EXIT_CONFIG
+        assert f"config error: {field}: {problem}" in capsys.readouterr().err
+
+    def test_class_past_the_blob_default_is_accepted(self, idx_root):
+        # data.classes (default 10) describes blobs only
+        config = self._config(idx_root, FLIP_ATTACK.format(source=1, target=11))
+        assert load_config(config).attack.target == 11
+
+
+def _leaf_names(cls) -> set:
+    """Names of the scalar fields under a config dataclass, sections and
+    list entries (``Optional[AttackConfig]``, ``List[DowntimeEntry]``) opened."""
+    names = set()
+    for name, hint in get_type_hints(cls).items():
+        inner = [t for t in (hint, *get_args(hint)) if is_dataclass(t)]
+        names |= _leaf_names(inner[0]) if inner else {name}
+    return names
+
+
+class TestReadmeConfig:
+    def test_config_block_loads_and_names_every_field(self, tmp_path):
+        text = README.read_text()
+        block = re.search(r"## Config shape.*?```yaml\n(.*?)```", text, re.S).group(1)
+        path = tmp_path / "readme.yaml"
+        path.write_text(block)
+        load_config(str(path))
+        missing = {
+            name
+            for name in _leaf_names(SimulationConfig)
+            if not re.search(rf"\b{name}\b", block)
+        }
+        assert not missing, f"README config block omits {sorted(missing)}"
 
 
 class TestInstalledEntryPoint:

@@ -9,6 +9,8 @@ lifecycle.
 
 import json
 import math
+import shutil
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,7 @@ from sybilsim.config import (
     load_config,
 )
 from sybilsim.data import LabelFlip, synth_blobs
+import sybilsim.engine
 from sybilsim.engine import (
     CSV_HEADER,
     HISTORY_GRID,
@@ -524,3 +527,46 @@ class TestOutputs:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["sybil_count"] == len(res.topology.sybils)
         assert manifest["scenario"] in ("dense", "sparse", "distributed")
+
+    def test_manifest_describes_the_package_checkout(self, tmp_path, monkeypatch):
+        package_dir = Path(sybilsim.engine.__file__).resolve().parent
+        git = shutil.which("git")
+        inside = git and subprocess.run(
+            [git, "rev-parse", "--is-inside-work-tree"],
+            cwd=package_dir,
+            capture_output=True,
+            text=True,
+        )
+        if not inside or inside.stdout.strip() != "true":
+            pytest.skip("the package directory is not in a git work tree")
+        want = subprocess.run(
+            [git, "describe", "--always", "--dirty"],
+            cwd=package_dir,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.strip()
+        monkeypatch.chdir(tmp_path)
+        res = run_simulation(_cfg(rounds=1))
+        res.write_outputs(tmp_path / "out")
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["git_describe"] == want
+
+
+class TestPaperScale:
+    def test_rerun_is_bit_identical(self):
+        """The paper-scale shape: config defaults (99 honest nodes, sybilwall)
+        at radius 0.2 from topology seed 1, label flip at phi = 1."""
+        cfg = SimulationConfig(
+            seed=1,
+            rounds=3,
+            topology=TopologyConfig(radius=0.2, seed=1),
+            attack=AttackConfig(kind="label_flip", phi=1.0),
+        )
+        a, b = run_simulation(cfg), run_simulation(cfg)
+        assert len(a.topology.honest) == 99
+        assert a.metrics_csv() == b.metrics_csv()
+        for i in a.topology.honest:
+            assert np.array_equal(a.final_models[i], b.final_models[i])
+            assert np.array_equal(a.final_histories[i], b.final_histories[i])
+        assert a.rejected_counts == b.rejected_counts == [0, 0, 0]
