@@ -82,13 +82,14 @@ def foolsgold_scores(
 ) -> Dict[int, float]:
     """Score histories so near-duplicates end up near zero.
 
-    Pipeline: pairwise cosine similarity (self-similarity fixed at zero, and
-    zero against a zero history, which has no direction), one pardoning pass
-    scaling s_ij by the ratio of pre-pardon row maxima whenever row i's
-    maximum is smaller than row j's, complement of the row maximum, rescale
-    so the best score is 1, then a bounded logit
-    w -> clip(kappa * (ln(w / (1 - w)) + 0.5), 0, 1) with inputs clipped to
-    [logit_eps, 1 - logit_eps].
+    Pipeline: pairwise cosine similarity from one Gram matrix, H @ H.T
+    divided by the outer product of the row norms, with self-similarity
+    fixed at zero and every pair whose either history has norm zero (no
+    direction) fixed at zero; one pardoning pass scaling s_ij by the ratio
+    of pre-pardon row maxima whenever row i's maximum is smaller than row
+    j's; complement of the row maximum; rescale so the best score is 1;
+    then a bounded logit w -> clip(kappa * (ln(w / (1 - w)) + 0.5), 0, 1)
+    with inputs clipped to [logit_eps, 1 - logit_eps].
     """
     if len(histories) < 2:
         raise ValueError("need at least two histories for a similarity baseline")
@@ -98,14 +99,16 @@ def foolsgold_scores(
     vectors = [_as_vector(h) for _, h in histories]
     if any(v.size != vectors[0].size for v in vectors):
         raise ValueError("histories must share one length")
-    norms = [np.linalg.norm(v) for v in vectors]
-    n = len(vectors)
-    sim = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if norms[i] != 0.0 and norms[j] != 0.0:
-                dot = np.dot(vectors[i], vectors[j])
-                sim[i, j] = sim[j, i] = dot / (norms[i] * norms[j])
+    stacked = np.stack(vectors)
+    norms = np.linalg.norm(stacked, axis=1)
+    directed = norms != 0.0
+    sim = np.divide(
+        stacked @ stacked.T,
+        np.outer(norms, norms),
+        out=np.zeros((len(vectors), len(vectors))),
+        where=directed[:, None] & directed[None, :],
+    )
+    np.fill_diagonal(sim, 0.0)
     row_max = sim.max(axis=1)
     max_i, max_j = row_max[:, None], row_max[None, :]
     pardoned = np.divide(sim * max_i, max_j, out=sim.copy(), where=max_i < max_j)

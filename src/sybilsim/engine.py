@@ -203,6 +203,16 @@ def _build_datasets(cfg: SimulationConfig) -> Tuple[LabeledDataset, LabeledDatas
         return full.subset(train_idx), full.subset(test_idx)
     train = load_idx(d.images_path, d.labels_path)
     test = load_idx(d.test_images_path, d.test_labels_path)
+    # each IDX pair takes its class count from its own labels; the model and
+    # the attack are built from the training pair's
+    for path, what, got, want in (
+        ("test_labels_path", "classes", test.n_classes, train.n_classes),
+        ("test_images_path", "pixels per image", test.dim, train.dim),
+    ):
+        if got != want:
+            raise ConfigError(
+                f"data.{path}: {got} {what}, but the training files have {want}"
+            )
     return train, test
 
 

@@ -172,6 +172,38 @@ class TestFoolsgoldScores:
             )
         assert scores == {0: 1.0, 1: 0.0, 2: 0.0}
 
+    @pytest.mark.parametrize(
+        "n, dim", [(2, 650), (9, 650), (16, 650), (53, 170)]
+    )
+    def test_matches_oracle_at_engine_pool_shapes(self, n, dim):
+        """Pools shaped like the engine's, on its 2^-30 history grid, with a
+        zero history, an exact clone pair and a history whose norm is a few
+        grid steps; clones score exactly zero and nothing divides by zero."""
+        rng = np.random.default_rng(n * dim)
+
+        def history(scale=1.0):
+            return np.round(rng.normal(scale=scale, size=dim) * 2.0**30) / 2.0**30
+
+        clone = history()
+        tiny = history(scale=2.0**-30)
+        assert 0.0 < np.linalg.norm(tiny) < 2.0**-20
+        if n == 2:
+            pools = [[np.zeros(dim), history()], [tiny, history()], [clone, tiny]]
+        else:
+            specials = [np.zeros(dim), clone, clone.copy(), tiny]
+            pools = [specials + [history() for _ in range(n - 4)]]
+        for vectors in pools:
+            pool = list(enumerate(vectors))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got = foolsgold_scores(pool)
+            want = _oracle_scores(pool)
+            assert got.keys() == want.keys()
+            for node in want:
+                assert got[node] == pytest.approx(want[node], rel=0, abs=1e-12)
+            if n > 2:
+                assert got[1] == got[2] == 0.0
+
     def test_rejects_histories_of_different_lengths(self):
         with pytest.raises(ValueError):
             foolsgold_scores([(0, np.array([1.0])), (1, np.array([1.0, 2.0]))])
@@ -342,6 +374,25 @@ class TestSybilwallWeights:
         assert weights[1] == 0.0
         assert weights[2] > 0.0
         assert 7 not in weights
+
+    def test_indirect_clone_zeroes_direct_at_engine_shape(self):
+        """The same at the engine's history length and grid: eight direct
+        neighbors and eight gossiped histories, one of them a copy of
+        direct neighbor 3's history."""
+        rng = np.random.default_rng(21)
+
+        def history():
+            return np.round(rng.normal(size=650) * 2.0**30) / 2.0**30
+
+        directs = [(i, history(), history()) for i in range(1, 9)]
+        indirects = [(20 + i, history()) for i in range(7)]
+        indirects.append((40, directs[2][2].copy()))
+        c = _cset(history(), directs, indirects, own_hist=history())
+        weights, degenerate = sybilwall_weights(c)
+        assert not degenerate
+        assert weights[3] == 0.0
+        assert all(weights[i] > 0.0 for i in range(1, 9) if i != 3)
+        assert 40 not in weights
 
     def test_convex_combination(self):
         rng = np.random.default_rng(13)

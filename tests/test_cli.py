@@ -535,6 +535,30 @@ class TestIdxData:
         assert main(["validate", "--config", config]) == EXIT_CONFIG
         assert f"config error: {field}: {problem}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "split, classes, width, target, problem",
+        [
+            ("train", 4, 4, 3, "data.test_labels_path: 3 classes, but the training files have 4"),
+            ("test", 4, 4, 2, "data.test_labels_path: 4 classes, but the training files have 3"),
+            (
+                "test", 3, 3, 2,
+                "data.test_images_path: 9 pixels per image, but the training files have 16",
+            ),
+        ],
+        ids=["train-has-more-classes", "test-has-more-classes", "smaller-test-images"],
+    )
+    def test_splits_that_disagree_are_a_config_error(
+        self, idx_root, capsys, split, classes, width, target, problem
+    ):
+        labels = np.repeat(np.arange(classes), 5)
+        images = np.random.default_rng(1).integers(0, 256, (len(labels), width, width))
+        _write_idx(idx_root / split, images, labels)
+        config = self._config(idx_root, FLIP_ATTACK.format(source=1, target=target))
+        assert main(["validate", "--config", config]) == EXIT_OK
+        code = main(["run", "--config", config, "--out-dir", str(idx_root / "x")])
+        assert code == EXIT_CONFIG
+        assert f"config error: {problem}" in capsys.readouterr().err
+
     def test_class_past_the_blob_default_is_accepted(self, idx_root):
         # data.classes (default 10) describes blobs only
         config = self._config(idx_root, FLIP_ATTACK.format(source=1, target=11))

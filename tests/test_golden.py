@@ -23,6 +23,9 @@ Regenerate after an intended behaviour change with
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -102,7 +105,37 @@ def run_golden(name, out_dir):
 def test_run_matches_golden_metrics(name, tmp_path):
     metrics, digest = run_golden(name, tmp_path)
     assert metrics == (GOLDEN / f"{name}.metrics.csv").read_bytes()
-    assert digest == (GOLDEN / f"{name}.digest").read_text()
+    evaluated, final = digest.splitlines()
+    want_evaluated, want_final = (GOLDEN / f"{name}.digest").read_text().splitlines()
+    assert evaluated == want_evaluated
+    assert final == want_final
+
+
+DIGEST_IN_CHILD = """
+import sys, tempfile
+sys.path[:0] = sys.argv[1:3]
+from test_golden import run_golden
+with tempfile.TemporaryDirectory() as tmp:
+    print(run_golden("label_flip", tmp)[1], end="")
+"""
+
+
+def test_digests_do_not_depend_on_blas_thread_count():
+    """Similarity scoring multiplies matrices through numpy's BLAS, which
+    may split the work across threads; the models must not depend on how."""
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        child = subprocess.run(
+            [sys.executable, "-c", DIGEST_IN_CHILD, str(ROOT / "src"), str(ROOT / "tests")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        digests.append(child.stdout)
+    assert digests[0] == digests[1] == (GOLDEN / "label_flip.digest").read_text()
 
 
 if __name__ == "__main__":
