@@ -18,6 +18,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 LOGIT_EPS = 1e-5
+# A best raw score this close to zero is rounding in the cosines, not a
+# direction: exact clones score 1 - cos with cos a few ulps from 1.
+SCORE_FLOOR = 64 * np.finfo(np.float64).eps
 
 
 def _as_vector(v) -> np.ndarray:
@@ -87,7 +90,8 @@ def foolsgold_scores(
     fixed at zero and every pair whose either history has norm zero (no
     direction) fixed at zero; one pardoning pass scaling s_ij by the ratio
     of pre-pardon row maxima whenever row i's maximum is smaller than row
-    j's; complement of the row maximum; rescale so the best score is 1;
+    j's; complement of the row maximum; rescale so the best score is 1, or
+    score every history 0 when the best is within ``SCORE_FLOOR`` of zero;
     then a bounded logit w -> clip(kappa * (ln(w / (1 - w)) + 0.5), 0, 1)
     with inputs clipped to [logit_eps, 1 - logit_eps].
     """
@@ -114,7 +118,7 @@ def foolsgold_scores(
     pardoned = np.divide(sim * max_i, max_j, out=sim.copy(), where=max_i < max_j)
     scores = 1.0 - pardoned.max(axis=1)
     top = scores.max()
-    if top <= 0.0:
+    if top <= SCORE_FLOOR:
         return {node: 0.0 for node in ids}
     scores = scores / top
     scores = np.clip(scores, logit_eps, 1.0 - logit_eps)

@@ -152,19 +152,41 @@ def random_geometric_graph(n: int, radius: float, seed: int) -> Topology:
     )
 
 
-def _joined_without(adj: Mapping[int, set], a: int, b: int) -> bool:
-    """Whether ``b`` is reachable from ``a`` without the edge (a, b);
-    stops at the first path found."""
-    stack = [m for m in adj[a] if m != b]
-    seen = {a, *stack}
-    while stack:
-        for m in adj[stack.pop()]:
-            if m == b:
-                return True
-            if m not in seen:
-                seen.add(m)
-                stack.append(m)
-    return False
+def _bridges(adj: Mapping[int, Iterable[int]]) -> set[Edge]:
+    """Every bridge of the simple undirected graph ``adj``, as normalized edges.
+
+    One depth-first low-link pass over each component (Tarjan, "A note on
+    finding the bridges of a graph", 1974): the tree edge (p, c) is a bridge
+    exactly when no back edge from c's subtree reaches p or above.  The
+    search keeps its own stack, so long paths cannot hit the recursion limit.
+    """
+    order: Dict[int, int] = {}
+    low: Dict[int, int] = {}
+    bridges: set[Edge] = set()
+    for root in adj:
+        if root in order:
+            continue
+        order[root] = low[root] = len(order)
+        stack = [(root, None, iter(adj[root]))]
+        while stack:
+            node, parent, rest = stack[-1]
+            for m in rest:
+                if m == parent:
+                    continue
+                if m not in order:
+                    order[m] = low[m] = len(order)
+                    stack.append((m, node, iter(adj[m])))
+                    break
+                if order[m] < low[node]:
+                    low[node] = order[m]
+            else:
+                stack.pop()
+                if parent is not None:
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
+                    elif low[node] > order[parent]:
+                        bridges.add(_norm_edge(parent, node))
+    return bridges
 
 
 def cap_degrees(g: Topology, e: int, seed: int) -> Topology:
@@ -173,8 +195,9 @@ def cap_degrees(g: Topology, e: int, seed: int) -> Topology:
     Only edges touching an over-degree node are candidates, and only those
     whose removal keeps the graph in a single connected component.  The
     graph is checked connected once and stays connected after every
-    removal, so an edge qualifies exactly when its endpoints stay joined
-    without it.
+    removal, so an edge qualifies exactly when it is not a bridge; one
+    bridge pass per removal finds them all.  The RNG picks among the
+    sorted candidates.
     """
     if e < 2:
         raise ValueError("degree bound must be >= 2")
@@ -187,7 +210,7 @@ def cap_degrees(g: Topology, e: int, seed: int) -> Topology:
         )
     while over:
         incident = {_norm_edge(n, m) for n in over for m in adj[n]}
-        candidates = [edge for edge in sorted(incident) if _joined_without(adj, *edge)]
+        candidates = sorted(incident - _bridges(adj))
         if not candidates:
             raise CappingFailure(
                 f"nodes {over} exceed degree {e} but every incident edge is a bridge"

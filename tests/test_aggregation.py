@@ -6,6 +6,7 @@ enumeration, and the median variants against hand-worked examples.
 """
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -74,7 +75,7 @@ def _oracle_scores(histories, kappa=1.0, eps=1e-5):
                 adjusted[i][j] = sim[i][j] * maxima[i] / maxima[j]
     raw = [1.0 - max(row) for row in adjusted]
     top = max(raw)
-    if top <= 0.0:
+    if top <= 64 * sys.float_info.epsilon:
         return {node: 0.0 for node, _ in histories}
     out = {}
     for (node, _), score in zip(histories, raw):
@@ -148,6 +149,16 @@ class TestFoolsgoldScores:
         v = np.array([3.0, 4.0])
         scores = foolsgold_scores([(0, v), (1, v.copy()), (2, v.copy())])
         assert all(s == 0.0 for s in scores.values())
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_clone_only_pools_score_zero(self, k):
+        """Copies of one history on the engine's 2^-30 grid: their cosines
+        can round a few ulps below 1, which is no direction to rescale."""
+        rng = np.random.default_rng(k)
+        for _ in range(200):
+            h = np.round(rng.normal(size=650) * 2.0**30) / 2.0**30
+            scores = foolsgold_scores([(i, h.copy()) for i in range(k)])
+            assert list(scores.values()) == [0.0] * k
 
     def test_kappa_steepens(self):
         """A mid-ratio survivor saturates under a large kappa but stays
@@ -393,6 +404,24 @@ class TestSybilwallWeights:
         assert weights[3] == 0.0
         assert all(weights[i] > 0.0 for i in range(1, 9) if i != 3)
         assert 40 not in weights
+
+    def test_clone_only_foreign_pool_gets_no_weight(self):
+        """Every direct and gossiped history is a copy of one Sybil history:
+        the clones get weight 0 and the own model all of it."""
+        rng = np.random.default_rng(22)
+        for k in (2, 3):
+            for _ in range(20):
+                sybil = np.round(rng.normal(size=650) * 2.0**30) / 2.0**30
+                directs = [(i, rng.normal(size=650), sybil.copy()) for i in range(1, k + 1)]
+                c = _cset(
+                    rng.normal(size=650),
+                    directs,
+                    indirects=[(40, sybil.copy())],
+                    own_hist=rng.normal(size=650),
+                )
+                weights, degenerate = sybilwall_weights(c)
+                assert not degenerate
+                assert weights == {0: 1.0, **{i: 0.0 for i in range(1, k + 1)}}
 
     def test_convex_combination(self):
         rng = np.random.default_rng(13)

@@ -1,7 +1,9 @@
-"""Graph construction checks: BFS against a Floyd-Warshall oracle, degree
-capping against the rebuild-per-candidate rule, K-medoids against exhaustive
-search, and the attack-placement invariants, also at paper scale."""
+"""Graph construction checks: BFS against a Floyd-Warshall oracle, bridges
+against remove-and-search, degree capping against the rebuild-per-candidate
+rule, K-medoids against exhaustive search, and the attack-placement
+invariants, also at paper scale."""
 
+import hashlib
 import itertools
 import math
 from collections import Counter
@@ -24,6 +26,7 @@ from sybilsim.topology import (
     random_geometric_graph,
     validate_topology,
 )
+from sybilsim.topology import _bridges
 
 
 def _path_graph(n):
@@ -128,6 +131,66 @@ class TestCapDegrees:
         a = cap_degrees(g, 4, seed=7)
         b = cap_degrees(g, 4, seed=7)
         assert a.edges == b.edges
+
+
+def _adjacency(nodes, edges):
+    adj = {n: set() for n in nodes}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
+
+
+def _brute_bridges(adj):
+    """Edges whose removal leaves one endpoint unreachable from the other."""
+    found = set()
+    for a in adj:
+        for b in adj[a]:
+            if a > b:
+                continue
+            seen = {a}
+            stack = [a]
+            while stack:
+                node = stack.pop()
+                for m in adj[node]:
+                    if m not in seen and (node, m) != (a, b):
+                        seen.add(m)
+                        stack.append(m)
+            if b not in seen:
+                found.add((a, b))
+    return found
+
+
+class TestBridges:
+    def test_matches_brute_force_on_random_graphs(self):
+        """Thinned geometric graphs, some split into several components."""
+        rng = np.random.default_rng(7)
+        with_bridges = 0
+        for trial in range(40):
+            n = int(rng.integers(5, 41))
+            radius = float(rng.uniform(1.3, 2.4)) / math.sqrt(n)
+            g = random_geometric_graph(n, radius, seed=trial)
+            kept = [edge for edge in sorted(g.edges) if rng.random() < 0.6]
+            adj = _adjacency(g.nodes, kept)
+            want = _brute_bridges(adj)
+            assert _bridges(adj) == want, trial
+            with_bridges += bool(want)
+        assert with_bridges >= 20
+
+    def test_cycle_has_none(self):
+        assert _bridges(_adjacency(range(6), [(i, (i + 1) % 6) for i in range(6)])) == set()
+
+    def test_every_tree_edge_is_one(self):
+        tree = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (5, 6)]
+        assert _bridges(_adjacency(range(7), tree)) == set(tree)
+
+    def test_two_triangles_joined_by_one_edge(self):
+        edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]
+        assert _bridges(_adjacency(range(6), edges)) == {(2, 3)}
+
+    def test_long_path_needs_no_recursion(self):
+        g = _path_graph(3000)
+        assert _bridges(g.adjacency()) == set(g.edges)
 
 
 def _reference_cap(g, e, seed):
@@ -425,6 +488,11 @@ class TestBuildAttackNetwork:
         assert a[2].edges == b[2].edges
 
 
+# sha256 of the default network's sorted edges and attack edges, taken from
+# the walk-per-candidate cap_degrees that the bridge pass replaced.
+DEFAULT_NETWORK_SHA256 = "a2034a882bd65010b8566e71149694dc86240eb34790e9d025feab652b1d14df"
+
+
 class TestPaperScaleNetwork:
     """Invariants and determinism of the network at 99 honest nodes."""
 
@@ -442,3 +510,14 @@ class TestPaperScaleNetwork:
         assert (again[0].edges, again[1], again[2].edges) == (
             honest.edges, plan, full.edges
         )
+
+    def test_default_radius_network_is_pinned(self):
+        """The CLI's default network (radius 0.4, bound 8, phi 1, topology
+        seed 0) is the one the walk-per-candidate capping rule built."""
+        honest, plan, full = build_attack_network(99, 0.4, 8, 1.0, 0)
+        validate_topology(full)
+        assert max(full.degree(n) for n in full.nodes) <= 8
+        assert max(honest.degree(n) for n in honest.honest) <= 7
+        text = " ".join(f"{a}-{b}" for a, b in sorted(full.edges))
+        text += " | " + " ".join(f"{s}-{h}" for s, h in sorted(plan.attack_edges))
+        assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_NETWORK_SHA256
