@@ -258,7 +258,9 @@ def _adversary_draw(
         want = min(len(segment), size - size // 2)
         if want > 0:
             chosen = np.sort(rng.choice(segment, size=want, replace=False))
-    rest = np.setdiff1d(np.arange(n), chosen, assume_unique=False)
+    keep = np.ones(n, dtype=bool)
+    keep[chosen] = False
+    rest = np.flatnonzero(keep)
     fill = min(len(rest), size - len(chosen))
     if fill > 0:
         extra = rng.choice(rest, size=fill, replace=False)

@@ -8,6 +8,7 @@ global.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,32 +92,6 @@ def _logits(params: np.ndarray, arch: Architecture, x: np.ndarray) -> np.ndarray
     return x @ w.T + b
 
 
-def _log_softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
-def cross_entropy_loss(model: Model, data) -> float:
-    """Mean cross-entropy of the model on a labeled dataset."""
-    x, y = _check_data(model.arch, data)
-    logp = _log_softmax(_logits(model.params, model.arch, x))
-    return float(-logp[np.arange(len(y)), y].mean())
-
-
-def _gradient(params: np.ndarray, arch: Architecture, x: np.ndarray, y: np.ndarray):
-    """Analytic mean cross-entropy gradient for one mini-batch."""
-    n = len(y)
-    w, b = _unpack(params, arch)
-    z = x @ w.T + b
-    logp = _log_softmax(z)
-    p = np.exp(logp)
-    p[np.arange(n), y] -= 1.0
-    p /= n
-    grad = np.concatenate([(p.T @ x).ravel(), p.sum(axis=0)])
-    loss = float(-logp[np.arange(n), y].mean())
-    return grad, loss
-
-
 def _check_data(arch: Architecture, data):
     x = np.asarray(data.features, dtype=np.float64)
     y = np.asarray(data.labels)
@@ -136,20 +111,50 @@ def train_sgd(model: Model, data, cfg: TrainConfig) -> Model:
     ``cfg.seed``, so the result is bit-reproducible for identical inputs.  The
     input model is left untouched; a new one is returned.
 
-    Raises ``NumericFailure`` if any batch produces a non-finite loss.
+    Each epoch gathers its shuffled samples, their one-hot labels and the
+    position of each sample's true-class entry within its batch once.  Each
+    batch then computes the log-softmax in place, and the weights and biases
+    are updated in place as views into one copied parameter vector; the
+    operations and their order are those of a step ``params -= lr * grad``
+    on the batch's mean cross-entropy gradient.
+
+    Raises ``NumericFailure`` if any batch produces a non-finite loss, that is,
+    a non-finite sum of log-probabilities at the true labels.
     """
     x, y = _check_data(model.arch, data)
+    c = model.arch.n_classes
+    # negative labels wrap and out-of-range ones raise, as numpy indexing does
+    labels = np.arange(c)[y]
     rng = np.random.default_rng(cfg.seed)
     params = model.params.copy()
-    n = len(y)
+    w, b = _unpack(params, model.arch)
+    wt = w.T
+    lr, bs = cfg.learning_rate, cfg.batch_size
+    n = len(labels)
+    eye = np.eye(c)
+    # offset of each sample's row within its batch of the flattened logits
+    batch_row = np.arange(n) % bs * c
     for _ in range(cfg.local_epochs):
         order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            grad, loss = _gradient(params, model.arch, x[idx], y[idx])
-            if not np.isfinite(loss):
-                raise NumericFailure(f"non-finite loss {loss} during SGD")
-            params -= cfg.learning_rate * grad
+        xs, ys = x[order], labels[order]
+        onehot = eye[ys]
+        true = batch_row + ys
+        for start in range(0, n, bs):
+            stop = start + bs
+            xb = xs[start:stop]
+            m = len(xb)
+            z = xb @ wt
+            z += b
+            z -= np.maximum.reduce(z, axis=1, keepdims=True)
+            z -= np.log(np.add.reduce(np.exp(z), axis=1, keepdims=True))
+            total = np.add.reduce(z.take(true[start:stop]))
+            if not math.isfinite(total):
+                raise NumericFailure(f"non-finite loss {-total / m} during SGD")
+            p = np.exp(z)
+            p -= onehot[start:stop]
+            p /= m
+            w -= lr * (p.T @ xb)
+            b -= lr * np.add.reduce(p, axis=0)
     return Model(params, model.arch)
 
 

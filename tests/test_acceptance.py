@@ -12,6 +12,7 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -110,7 +111,7 @@ def _scoring_oracle(histories, kappa=1.0, eps=1e-5):
                 adjusted[i][j] = sim[i][j] * maxima[i] / maxima[j]
     raw = [1.0 - max(row) for row in adjusted]
     top = max(raw)
-    if top <= 0.0:
+    if top <= 64 * sys.float_info.epsilon:
         return {node: 0.0 for node, _ in histories}
     out = {}
     for (node, _), score in zip(histories, raw):

@@ -477,6 +477,33 @@ class TestAdversary:
         assert len(np.unique(idx)) == 12
         assert idx.min() >= 0 and idx.max() < len(pool)
 
+    @pytest.mark.parametrize("spec", [LabelFlip(0, 2), LabelFlip(1, 3), None])
+    def test_draw_matches_setdiff_reference(self, spec):
+        # the remainder comes from a boolean mask; it must be the sorted
+        # indices np.setdiff1d gives, so rng.choice draws the same samples
+        def reference(train_set, spec, size, rng):
+            chosen = np.empty(0, dtype=np.intp)
+            if spec is not None:
+                segment = np.flatnonzero(
+                    (train_set.labels == spec.t1) | (train_set.labels == spec.t2)
+                )
+                want = min(len(segment), size - size // 2)
+                if want > 0:
+                    chosen = np.sort(rng.choice(segment, size=want, replace=False))
+            rest = np.setdiff1d(np.arange(len(train_set)), chosen)
+            fill = min(len(rest), size - len(chosen))
+            if fill > 0:
+                extra = rng.choice(rest, size=fill, replace=False)
+                chosen = np.sort(np.concatenate([chosen, extra]))
+            return chosen
+
+        pool = synth_blobs(classes=4, per_class=10, dim=8, spread=0.2, seed=5)
+        for size in (1, 2, 7, 20, 39, 40, 55):
+            for seed in range(5):
+                got = _adversary_draw(pool, spec, size, np.random.default_rng(seed))
+                want = reference(pool, spec, size, np.random.default_rng(seed))
+                np.testing.assert_array_equal(got, want)
+
 
 class TestSparseData:
     def test_nodes_without_samples_still_participate(self):

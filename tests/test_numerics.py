@@ -1,6 +1,8 @@
 """Model arithmetic checks: gradients against finite differences, training
 determinism, and the small evaluation helpers."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -9,13 +11,56 @@ from sybilsim.numerics import (
     Model,
     NumericFailure,
     TrainConfig,
-    cross_entropy_loss,
     evaluate_accuracy,
     init_model,
     predict,
     train_sgd,
 )
-from sybilsim.numerics import _gradient
+from sybilsim.numerics import _logits, _unpack
+
+
+def _log_softmax(z):
+    shifted = z - z.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def cross_entropy_loss(model, data):
+    """Mean cross-entropy of the model on a labeled dataset."""
+    y = np.asarray(data.labels)
+    logp = _log_softmax(_logits(model.params, model.arch, np.asarray(data.features)))
+    return float(-logp[np.arange(len(y)), y].mean())
+
+
+def _gradient(params, arch, x, y):
+    """Analytic mean cross-entropy gradient and loss for one mini-batch."""
+    n = len(y)
+    w, b = _unpack(params, arch)
+    logp = _log_softmax(x @ w.T + b)
+    p = np.exp(logp)
+    p[np.arange(n), y] -= 1.0
+    p /= n
+    grad = np.concatenate([(p.T @ x).ravel(), p.sum(axis=0)])
+    loss = float(-logp[np.arange(n), y].mean())
+    return grad, loss
+
+
+def _reference_train_sgd(model, data, cfg):
+    """SGD one batch at a time with ``params -= lr * _gradient(...)``: the
+    loop ``train_sgd`` must reproduce bit for bit."""
+    x = np.asarray(data.features, dtype=np.float64)
+    y = np.asarray(data.labels)
+    rng = np.random.default_rng(cfg.seed)
+    params = model.params.copy()
+    n = len(y)
+    for _ in range(cfg.local_epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            grad, loss = _gradient(params, model.arch, x[idx], y[idx])
+            if not np.isfinite(loss):
+                raise NumericFailure(f"non-finite loss {loss} during SGD")
+            params -= cfg.learning_rate * grad
+    return Model(params, model.arch)
 
 
 class _Data:
@@ -148,6 +193,83 @@ class TestTraining:
         model = init_model(Architecture(2, 2), 1)
         with pytest.raises(NumericFailure):
             train_sgd(model, data, TrainConfig(1e308, 40, 4, seed=0))
+
+
+class TestTrainMatchesReferenceLoop:
+    """``train_sgd`` steps in place; it must give the same bits as the
+    per-batch ``params -= lr * _gradient(...)`` loop."""
+
+    # (samples, dim, classes, batch_size, epochs, learning_rate)
+    CASES = {
+        "partial-last-batch": (11, 5, 4, 4, 3, 0.05),
+        "batch-equals-n": (8, 3, 3, 8, 4, 0.1),
+        "batch-above-n": (5, 6, 10, 8, 10, 0.05),
+        "batch-of-one": (7, 4, 3, 1, 2, 0.2),
+        "two-classes": (19, 8, 2, 8, 5, 0.5),
+        "one-sample": (1, 16, 10, 8, 10, 0.05),
+        "zero-learning-rate": (13, 4, 5, 4, 3, 0.0),
+        "many-batches": (55, 64, 10, 8, 10, 0.05),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bit_equal(self, case):
+        n, dim, classes, batch, epochs, lr = self.CASES[case]
+        rng = np.random.default_rng(sum(map(ord, case)))
+        arch = Architecture(dim, classes)
+        for trial in range(5):
+            data = _random_data(rng, n, dim, classes)
+            model = Model(rng.normal(size=arch.param_count), arch)
+            cfg = TrainConfig(lr, epochs, batch, seed=trial)
+            got = train_sgd(model, data, cfg).params
+            want = _reference_train_sgd(model, data, cfg).params
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("labels", [[0, 2, 1, 1, 0, 2, 2], [0, -1, 1, -3, 2, -2, 2]])
+    def test_bit_equal_on_list_labels(self, labels):
+        # plain lists, and negative labels, index as numpy does
+        rng = np.random.default_rng(12)
+        arch = Architecture(3, 3)
+        data = SimpleNamespace(features=rng.normal(size=(7, 3)).tolist(), labels=labels)
+        model = init_model(arch, 4)
+        cfg = TrainConfig(0.1, 3, 3, seed=5)
+        got = train_sgd(model, data, cfg).params
+        want = _reference_train_sgd(model, data, cfg).params
+        assert got.tobytes() == want.tobytes()
+
+    def test_out_of_range_label_raises(self):
+        data = SimpleNamespace(features=np.zeros((3, 2)), labels=[0, 1, 2])
+        with pytest.raises(IndexError):
+            train_sgd(init_model(Architecture(2, 2), 1), data, TrainConfig(0.1, 1, 2, seed=0))
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_loss_check_reads_only_the_true_labels(self):
+        # class 1's log-probability is -inf for every sample: samples of
+        # class 0 train (their loss is 0), one of class 1 has an infinite
+        # loss wherever the shuffle puts it in the batch
+        arch = Architecture(1, 2)
+        model = Model(np.array([1e308, -1e308, 0.0, 0.0]), arch)
+        ones = np.ones((4, 1))
+        fine = SimpleNamespace(features=ones, labels=[0, 0, 0, 0])
+        cfg = TrainConfig(0.1, 2, 4, seed=0)
+        got = train_sgd(model, fine, cfg).params
+        assert got.tobytes() == _reference_train_sgd(model, fine, cfg).params.tobytes()
+        bad = SimpleNamespace(features=ones, labels=[0, 0, 1, 0])
+        for seed in range(8):
+            cfg = TrainConfig(0.1, 1, 4, seed=seed)
+            with pytest.raises(NumericFailure, match="non-finite loss inf"):
+                train_sgd(model, bad, cfg)
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_same_failure_message(self):
+        rng = np.random.default_rng(9)
+        data = _random_data(rng, 16, 2, 2)
+        model = init_model(Architecture(2, 2), 1)
+        cfg = TrainConfig(1e308, 40, 4, seed=0)
+        with pytest.raises(NumericFailure) as got:
+            train_sgd(model, data, cfg)
+        with pytest.raises(NumericFailure) as want:
+            _reference_train_sgd(model, data, cfg)
+        assert str(got.value) == str(want.value)
 
 
 class TestPrediction:
