@@ -2,7 +2,9 @@
 
 Every aggregation rule is pinned: FedAvg by the quickstart, the plain
 rules and SybilWall on the label-flip config, and the three SybilWall
-enhancements on the capacity-bounded backdoor config.
+enhancements on the capacity-bounded backdoor config.  One run at paper
+scale (99 honest nodes) pins scoring pools of 50 histories and gossip
+that relays records over several hops.
 
 Each golden file under ``tests/golden/`` was written by ``sybilsim run``
 semantics (``run_simulation`` then ``write_outputs``) on the config built
@@ -31,7 +33,13 @@ from pathlib import Path
 import pytest
 
 from sybilsim import engine
-from sybilsim.config import DowntimeEntry, load_config
+from sybilsim.config import (
+    AttackConfig,
+    DowntimeEntry,
+    SimulationConfig,
+    TopologyConfig,
+    load_config,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "demos" / "configs"
@@ -60,6 +68,17 @@ def backdoor():
     return cfg.validate()
 
 
+def paper_99():
+    """Config defaults (99 honest nodes, sybilwall) at radius 0.2 from
+    topology seed 1, label flip at phi = 1."""
+    return SimulationConfig(
+        seed=1,
+        rounds=6,
+        topology=TopologyConfig(radius=0.2, seed=1),
+        attack=AttackConfig(kind="label_flip", phi=1.0),
+    ).validate()
+
+
 def with_rule(build, rule):
     def config():
         cfg = build()
@@ -69,7 +88,12 @@ def with_rule(build, rule):
     return config
 
 
-RUNS = {"quickstart": quickstart, "label_flip": label_flip, "backdoor": backdoor}
+RUNS = {
+    "quickstart": quickstart,
+    "label_flip": label_flip,
+    "backdoor": backdoor,
+    "paper_99": paper_99,
+}
 RUNS.update(
     (f"label_flip.{rule}", with_rule(label_flip, rule))
     for rule in ("foolsgold", "krum", "multikrum", "median")
