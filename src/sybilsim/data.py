@@ -174,7 +174,10 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
     )
 
     if n != n_labels:
-        raise ValueError(f"image count {n} does not match label count {n_labels}")
+        raise ValueError(
+            f"{images_path}: image count {n} does not match label count "
+            f"{n_labels} in {labels_path}"
+        )
     n_classes = int(labels.max()) + 1 if n else 1
     return LabeledDataset(features, labels, n_classes)
 

@@ -2,9 +2,12 @@
 
 Messages composed in round T are delivered at T+1, losslessly unless a
 downtime schedule takes a node offline or a message fails verification.
-Nodes step one at a time in id order, honest nodes first.  All randomness
-is drawn from streams derived only from (run seed, node id, round,
-purpose), so a run is fully determined by its config.
+A round runs in five phases, each a pass over the nodes in id order:
+receive and aggregate, evaluate, train, copy the designated Sybil's model
+to the other Sybils, and compose and deliver.  Honest nodes are evaluated
+in ascending id order, which fixes the float sums behind each round's
+means.  All randomness is drawn from streams derived only from (run seed,
+node id, round, purpose), so a run is fully determined by its config.
 
 Trained models are rounded to multiples of 2^-30 before entering a
 history.  On that grid every history sum and difference is exact in IEEE
@@ -201,8 +204,11 @@ def _build_datasets(cfg: SimulationConfig) -> Tuple[LabeledDataset, LabeledDatas
             train_idx.extend(range(start, start + d.per_class))
             test_idx.extend(range(start + d.per_class, start + block))
         return full.subset(train_idx), full.subset(test_idx)
-    train = load_idx(d.images_path, d.labels_path)
-    test = load_idx(d.test_images_path, d.test_labels_path)
+    try:
+        train = load_idx(d.images_path, d.labels_path)
+        test = load_idx(d.test_images_path, d.test_labels_path)
+    except ValueError as exc:  # a malformed file; the message names it
+        raise ConfigError(f"data: {exc}") from exc
     # each IDX pair takes its class count from its own labels; the model and
     # the attack are built from the training pair's
     for path, what, got, want in (
@@ -366,14 +372,6 @@ def _compose_outbox(
     return outbox
 
 
-def _evaluate(
-    model: Model, test_set: LabeledDataset, spec
-) -> Tuple[float, Optional[float]]:
-    """Test accuracy and, under an attack, the attack score of one model."""
-    accuracy = evaluate_accuracy(model, test_set)
-    return accuracy, attack_score(model, test_set, spec) if spec is not None else None
-
-
 def build_network(cfg: SimulationConfig) -> Tuple[Optional[SSPPlan], Topology]:
     """The attack plan (None without an attack) and the full network of a run.
 
@@ -392,9 +390,12 @@ def run_simulation(
 ) -> RunResult:
     """Execute a full configured run.
 
-    Nodes step one after another in id order on the calling thread.
-    ``workers`` has no effect; it stays so that existing callers keep
-    working.
+    Each round makes five passes over the nodes in id order on the calling
+    thread: receive and aggregate (a node back from downtime only receives);
+    evaluate every honest node in ascending id order, before any training;
+    train each start model; copy the designated Sybil's model and history
+    to the other Sybils; compose and deliver.  ``workers`` has no effect; it
+    stays so that existing callers keep working.
     """
     cfg.validate()
     seed = cfg.seed
@@ -453,21 +454,17 @@ def run_simulation(
     honest_ids = sorted(full_g.honest)
     sybil_ids = sorted(full_g.sybils)
     designated = sybil_ids[0] if sybil_ids else None
-    adversary_epochs = (
-        cfg.adversary_epochs
-        if cfg.adversary_epochs is not None
-        else cfg.train.local_epochs
-    )
+    trainers = set(honest_ids + sybil_ids[:1])
+    adversary_epochs = cfg.adversary_epochs or cfg.train.local_epochs  # None when unset
     nodes = {
         i: fresh_state(i, parts[i], cfg.aggregator, cfg.train.local_epochs, True)
         for i in honest_ids
     }
-    sizes = {i: len(parts[i]) for i in honest_ids}
     for s in sybil_ids:
         nodes[s] = fresh_state(
             s, poisoned, "fedavg", adversary_epochs, cfg.gossip.sybils_gossip
         )
-        sizes[s] = len(poisoned)
+    sizes = {i: len(state.dataset) for i, state in nodes.items()}
 
     offline: Dict[int, set] = {i: set() for i in all_ids}
     for entry in cfg.downtime:
@@ -478,69 +475,79 @@ def run_simulation(
     inferred_trace: List[Tuple[int, int, int, np.ndarray]] = []
     direct_counts: Dict[Tuple[int, int], int] = {}
 
-    def train(state: _NodeState, start: Model, rnd: int) -> None:
-        """Train from ``start`` on the node's data and extend its history."""
-        trained = start.params
-        if len(state.dataset) > 0:
-            tcfg = TrainConfig(
-                learning_rate=cfg.train.learning_rate,
-                local_epochs=state.epochs,
-                batch_size=cfg.train.batch_size,
-                seed=_train_seed(seed, _TRAIN, state.id, rnd),
-            )
-            try:
-                trained = train_sgd(start, state.dataset, tcfg).params
-            except NumericFailure as exc:
-                raise NumericFailure(f"node {state.id} round {rnd}: {exc}") from exc
-        state.model = _quantize(trained)
-        if not np.all(np.isfinite(state.model)):
-            raise NumericFailure(
-                f"node {state.id} round {rnd}: trained model overflows the history grid"
-            )
-        state.history = state.history + state.model
-
     inboxes: Dict[int, List[RoundMessage]] = {i: [] for i in all_ids}
     metrics: List[RoundMetrics] = []
     message_counts: List[int] = []
     rejected_counts: List[int] = []
 
     for rnd in range(cfg.rounds):
-        next_inboxes: Dict[int, List[RoundMessage]] = {i: [] for i in all_ids}
-        scores: List[Tuple[float, Optional[float]]] = []
-        composed = rejected = degenerates = 0
-        for i in all_ids:
+        up = [i for i in all_ids if rnd not in offline[i]]
+        active = [i for i in up if rnd - 1 not in offline[i]]
+
+        # receive and aggregate: one pass keeps one node's inferred models alive
+        starts: Dict[int, Model] = {}
+        rejected = degenerates = composed = 0
+        for i in up:
             state = nodes[i]
-            honest = i in full_g.honest
-            if rnd in offline[i]:
-                activity[i][rnd] = "offline"
-                scores.append(_evaluate(Model(state.model, arch), test_set, spec))
-                continue
             received, dropped = _receive_all(state, inboxes[i], verifier)
             rejected += dropped
             if trace:
                 for sender, (vec, _) in sorted(received.items()):
                     trained_in = state.prev_known[sender].round
                     inferred_trace.append((i, sender, trained_in, vec.copy()))
-            if rnd - 1 in offline[i]:
-                # recovery round: collect only, resume fully next round
-                activity[i][rnd] = "recovery"
-                scores.append(_evaluate(Model(state.model, arch), test_set, spec))
+            # in its recovery round a node only collects; other Sybils copy
+            if i not in trainers or rnd - 1 in offline[i]:
                 continue
-            if honest or i == designated:
-                aggregated, degenerate = _aggregate(
-                    cfg.rule_params.kappa, state, received, sizes
-                )
-                start = Model(aggregated, arch)
-                if honest:
-                    activity[i][rnd] = "active"
-                    scores.append(_evaluate(start, test_set, spec))
-                    degenerates += degenerate
-                    if trace:
-                        direct_counts[(i, rnd)] = len(received)
-                train(state, start, rnd)
+            aggregated, degenerate = _aggregate(
+                cfg.rule_params.kappa, state, received, sizes
+            )
+            starts[i] = Model(aggregated, arch)
+            if i in full_g.honest:
+                degenerates += degenerate
+                if trace:
+                    direct_counts[(i, rnd)] = len(received)
+
+        # evaluate before any training, in id order: the means sum in that order
+        accuracies, atks = [], []
+        for i in honest_ids:
+            if i in starts:
+                activity[i][rnd], model = "active", starts[i]
             else:
-                state.model = nodes[designated].model
-                state.history = nodes[designated].history
+                activity[i][rnd] = "offline" if rnd in offline[i] else "recovery"
+                model = Model(nodes[i].model, arch)
+            accuracies.append(evaluate_accuracy(model, test_set))
+            if spec is not None:
+                atks.append(attack_score(model, test_set, spec))
+
+        for i, start in starts.items():
+            state = nodes[i]
+            trained = start.params
+            if len(state.dataset) > 0:
+                tcfg = TrainConfig(
+                    learning_rate=cfg.train.learning_rate,
+                    local_epochs=state.epochs,
+                    batch_size=cfg.train.batch_size,
+                    seed=_train_seed(seed, _TRAIN, i, rnd),
+                )
+                try:
+                    trained = train_sgd(start, state.dataset, tcfg).params
+                except NumericFailure as exc:
+                    raise NumericFailure(f"node {i} round {rnd}: {exc}") from exc
+            state.model = _quantize(trained)
+            if not np.all(np.isfinite(state.model)):
+                raise NumericFailure(
+                    f"node {i} round {rnd}: trained model overflows the history grid"
+                )
+            state.history = state.history + state.model
+
+        for s in sybil_ids[1:]:
+            nodes[s].model = nodes[designated].model
+            nodes[s].history = nodes[designated].history
+
+        # every inbox was read above; refill them for the next round
+        inboxes = {i: [] for i in all_ids}
+        for i in active:
+            state = nodes[i]
             if trace:
                 trained_trace[(i, rnd)] = state.model.copy()
             outbox = _compose_outbox(state, rnd, cfg.gossip.lam, seed)
@@ -548,20 +555,11 @@ def run_simulation(
             # deliver for next round, dropping mail to offline nodes
             for j, msg in outbox.items():
                 if rnd + 1 not in offline[j]:
-                    next_inboxes[j].append(msg)
-        inboxes = next_inboxes
+                    inboxes[j].append(msg)
         message_counts.append(composed)
         rejected_counts.append(rejected)
-
-        atks = [atk for _, atk in scores if atk is not None]
-        metrics.append(
-            RoundMetrics(
-                round=rnd,
-                mean_accuracy=float(np.mean([acc for acc, _ in scores])),
-                mean_attack_score=float(np.mean(atks)) if atks else float("nan"),
-                degenerate_nodes=degenerates,
-            )
-        )
+        atk = float(np.mean(atks)) if atks else float("nan")
+        metrics.append(RoundMetrics(rnd, float(np.mean(accuracies)), atk, degenerates))
 
     final_models = {i: nodes[i].model.copy() for i in honest_ids}
     final_histories = {i: nodes[i].history.copy() for i in honest_ids}

@@ -559,6 +559,35 @@ class TestIdxData:
         assert code == EXIT_CONFIG
         assert f"config error: {problem}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "split, corrupted, edit, problem",
+        [
+            (
+                "train", "images", lambda raw: struct.pack(">I", 0x804) + raw[4:],
+                "{images}: bad IDX magic 0x00000804 at byte 0",
+            ),
+            ("test", "labels", lambda raw: raw[:-1], "{labels}: truncated IDX data"),
+            (
+                "test", "labels",
+                lambda raw: struct.pack(">II", 0x801, len(raw) - 9) + raw[8:-1],
+                "{images}: image count 15 does not match label count 14 in {labels}",
+            ),
+        ],
+        ids=["bad-magic", "truncated-data", "count-mismatch"],
+    )
+    def test_malformed_file_is_a_config_error(
+        self, idx_root, capsys, split, corrupted, edit, problem
+    ):
+        path = idx_root / split / corrupted
+        path.write_bytes(edit(path.read_bytes()))
+        config = self._config(idx_root, FLIP_ATTACK.format(source=1, target=2))
+        code = main(["run", "--config", config, "--out-dir", str(idx_root / "x")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: data: ")
+        paths = {name: idx_root / split / name for name in ("images", "labels")}
+        assert problem.format(**paths) in err
+
     def test_class_past_the_blob_default_is_accepted(self, idx_root):
         # data.classes (default 10) describes blobs only
         config = self._config(idx_root, FLIP_ATTACK.format(source=1, target=11))

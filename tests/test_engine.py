@@ -7,6 +7,7 @@ reconstruction on the receiver side, and the offline / recovery
 lifecycle.
 """
 
+import itertools
 import json
 import math
 import shutil
@@ -157,6 +158,28 @@ class TestMessageAccounting:
         assert res.message_counts[3] == full - deg  # offline: silent
         assert res.message_counts[4] == full - deg  # recovery: collect only
         assert res.message_counts[5] == full
+
+
+class TestPhases:
+    def test_each_round_evaluates_then_trains_then_composes(self, monkeypatch):
+        """A round evaluates every honest node before any node trains, and
+        trains every start model before any message is composed."""
+        calls = []
+        for name in ("evaluate_accuracy", "train_sgd", "compose_message"):
+
+            def recording(*args, _name=name, _call=getattr(sybilsim.engine, name)):
+                calls.append(_name)
+                return _call(*args)
+
+            monkeypatch.setattr(sybilsim.engine, name, recording)
+        cfg = _attack_cfg(rounds=5, downtime=[DowntimeEntry(node=3, start=2, length=1)])
+        res = run_simulation(cfg)
+        blocks = [(name, len(list(run))) for name, run in itertools.groupby(calls)]
+        phases = ["evaluate_accuracy", "train_sgd", "compose_message"]
+        assert [name for name, _ in blocks] == phases * cfg.rounds
+        evaluated = [n for name, n in blocks if name == "evaluate_accuracy"]
+        assert evaluated == [len(res.topology.honest)] * cfg.rounds
+        assert [n for name, n in blocks if name == "compose_message"] == res.message_counts
 
 
 class TestGossipCapacity:
