@@ -103,7 +103,7 @@ def foolsgold_scores(
     vectors = [_as_vector(h) for _, h in histories]
     if any(v.size != vectors[0].size for v in vectors):
         raise ValueError("histories must share one length")
-    stacked = np.stack(vectors)
+    stacked = np.array(vectors)
     norms = np.linalg.norm(stacked, axis=1)
     directed = norms != 0.0
     sim = np.divide(
@@ -124,7 +124,7 @@ def foolsgold_scores(
     scores = np.clip(scores, logit_eps, 1.0 - logit_eps)
     scores = kappa * (np.log(scores / (1.0 - scores)) + 0.5)
     scores = np.clip(scores, 0.0, 1.0)
-    return {node: float(s) for node, s in zip(ids, scores)}
+    return dict(zip(ids, scores.tolist()))
 
 
 def krum_score(models: Sequence[np.ndarray], f: int) -> List[float]:

@@ -12,8 +12,6 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import List, Optional
 
-import yaml
-
 AGGREGATORS = (
     "fedavg",
     "foolsgold",
@@ -279,6 +277,8 @@ def config_from_dict(obj: dict) -> SimulationConfig:
 
 def load_config(path: str) -> SimulationConfig:
     """Parse and validate a YAML config file."""
+    import yaml  # only YAML configs need it; runs built in code never load it
+
     with open(path, "r") as fh:
         try:
             raw = yaml.safe_load(fh)

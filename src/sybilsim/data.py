@@ -257,13 +257,13 @@ def poison_dataset(data: LabeledDataset, spec: AttackSpec) -> LabeledDataset:
     return apply_backdoor(data, spec.pattern, spec.target)
 
 
-def attack_score(model: Model, clean_test: LabeledDataset, spec: AttackSpec) -> float:
-    """Accuracy of the model on the adversarially transformed test segment.
+def attack_segment(clean_test: LabeledDataset, spec: AttackSpec) -> LabeledDataset:
+    """The adversarially transformed test segment an attack is scored on.
 
-    For a label flip this is the accuracy on the samples of the two targeted
-    classes after their labels are swapped (only those samples are altered by
-    the transform).  For a backdoor it is the accuracy on the full test set
-    with the pattern stamped and all labels set to the target class.
+    For a label flip these are the samples of the two targeted classes with
+    their labels swapped (only those samples are altered by the transform).
+    For a backdoor it is the full test set with the pattern stamped and all
+    labels set to the target class.
     """
     if len(clean_test) == 0:
         raise ValueError("clean_test is empty")
@@ -275,7 +275,10 @@ def attack_score(model: Model, clean_test: LabeledDataset, spec: AttackSpec) -> 
             raise UndefinedScore(
                 f"test set has no samples of classes {spec.t1} or {spec.t2}"
             )
-        segment = apply_label_flip(clean_test.subset(np.flatnonzero(mask)), spec.t1, spec.t2)
-    else:
-        segment = apply_backdoor(clean_test, spec.pattern, spec.target)
+        return apply_label_flip(clean_test.subset(np.flatnonzero(mask)), spec.t1, spec.t2)
+    return apply_backdoor(clean_test, spec.pattern, spec.target)
+
+
+def attack_score(model: Model, segment: LabeledDataset) -> float:
+    """Accuracy of the model on an ``attack_segment``."""
     return float(np.mean(predict(model, segment.features) == segment.labels))

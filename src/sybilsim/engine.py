@@ -47,6 +47,7 @@ from .data import (
     LabelFlip,
     PartitionSpec,
     attack_score,
+    attack_segment,
     corner_block_pattern,
     dirichlet_partition,
     load_idx,
@@ -363,13 +364,13 @@ def _compose_outbox(
     own = SignedHistory(
         state.history, state.id, rnd, state.signer.sign(state.history, rnd)
     )
-    outbox = {}
-    for j in state.neighbors:
-        selected = None
-        if state.relays:
-            selected = select_gossip(filter_db(state.db, state.id, j), lam, rng)
-        outbox[j] = compose_message(own, selected)
-    return outbox
+    picks = [None] * len(state.neighbors)
+    if state.relays:
+        try:
+            picks = select_gossip(filter_db(state.db, state.id), state.neighbors, lam, rng)
+        except NumericFailure as exc:
+            raise NumericFailure(f"node {state.id} round {rnd}: {exc}") from exc
+    return {j: compose_message(own, pick) for j, pick in zip(state.neighbors, picks)}
 
 
 def build_network(cfg: SimulationConfig) -> Tuple[Optional[SSPPlan], Topology]:
@@ -403,6 +404,7 @@ def run_simulation(
     train_set, test_set = _build_datasets(cfg)
     arch = Architecture(input_dim=train_set.dim, n_classes=train_set.n_classes)
     spec = _build_attack_spec(cfg, train_set)
+    segment = None if spec is None else attack_segment(test_set, spec)
 
     parts = dirichlet_partition(
         train_set,
@@ -516,8 +518,8 @@ def run_simulation(
                 activity[i][rnd] = "offline" if rnd in offline[i] else "recovery"
                 model = Model(nodes[i].model, arch)
             accuracies.append(evaluate_accuracy(model, test_set))
-            if spec is not None:
-                atks.append(attack_score(model, test_set, spec))
+            if segment is not None:
+                atks.append(attack_score(model, segment))
 
         for i, start in starts.items():
             state = nodes[i]

@@ -2,9 +2,11 @@
 
 Each node keeps one history record per known origin and forwards a
 randomly selected record to every neighbor each round, preferring records
-gathered close by.  Receivers recover a sender's trained model as the
-difference of its two most recent histories, which removes the need to
-transmit raw models at all.
+gathered close by.  A node gathers its candidates and their weights once
+a round and masks them per neighbor; each pick draws exactly what
+``Generator.choice`` with probabilities would.  Receivers recover a
+sender's trained model as the difference of its two most recent
+histories, which removes the need to transmit raw models at all.
 
 A signature covers, little-endian: u32 origin | u32 round | u32 vec_len |
 f64 * vec_len, the raw history values last.
@@ -26,6 +28,8 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
 )
+
+from .numerics import NumericFailure
 
 
 class MessageRejected(RuntimeError):
@@ -218,26 +222,73 @@ class Verifier:
 # --- database operations ---------------------------------------------------
 
 
-def filter_db(db: HistoryDB, self_id: int, neighbor: int) -> List[HistoryRecord]:
-    """Records eligible for gossip to ``neighbor``: nothing it already owns
-    or forwarded here itself, and nothing of our own.  Stable origin order."""
-    return [
-        record
-        for origin, record in sorted(db.records.items())
-        if origin not in (self_id, neighbor) and record.forwarder != neighbor
-    ]
+@dataclass(frozen=True)
+class GossipPool:
+    """One node's relay candidates for one round: every stored record but
+    its own, in origin order, with origins, forwarders and distances as
+    parallel arrays."""
+
+    records: List[HistoryRecord]
+    origins: np.ndarray
+    forwarders: np.ndarray
+    distances: np.ndarray
+
+    def eligible(self, neighbors: Sequence[int]) -> np.ndarray:
+        """One mask row per neighbor over ``records``: what it may be sent,
+        which is nothing it already owns or forwarded here itself."""
+        nb = np.asarray(neighbors, dtype=np.int64)[:, None]
+        return (self.origins != nb) & (self.forwarders != nb)
+
+
+def filter_db(db: HistoryDB, self_id: int) -> GossipPool:
+    """Gossip candidates for every neighbor at once: nothing of our own.
+    Stable origin order."""
+    records = [record for origin, record in sorted(db.records.items()) if origin != self_id]
+    return GossipPool(
+        records,
+        np.array([r.block.origin for r in records], dtype=np.int64),
+        np.array([r.forwarder for r in records], dtype=np.int64),
+        np.array([r.distance for r in records], dtype=np.int64),
+    )
 
 
 def select_gossip(
-    filtered: Sequence[HistoryRecord], lam: float, rng: np.random.Generator
-) -> Optional[HistoryRecord]:
-    """Pick one record at random, weighting distance d by lam * exp(-lam * d)."""
+    pool: GossipPool, neighbors: Sequence[int], lam: float, rng: np.random.Generator
+) -> List[Optional[HistoryRecord]]:
+    """One record per neighbor, in ``neighbors`` order: None where nothing is
+    eligible, else a random pick weighting distance d by lam * exp(-lam * d).
+
+    Every pick is the one ``rng.choice(len(w), p=w / w.sum())`` makes over
+    that neighbor's eligible weights ``w``, from the same one double per
+    non-empty pool.  Weights that sum to zero (lam so large that every exp
+    underflows) raise ``NumericFailure``; they are never renormalized.
+    """
     if lam <= 0:
         raise ValueError("lam must be > 0")
-    if not filtered:
-        return None
-    weights = np.array([lam * math.exp(-lam * r.distance) for r in filtered])
-    return filtered[rng.choice(len(filtered), p=weights / weights.sum())]
+    picks: List[Optional[HistoryRecord]] = [None] * len(neighbors)
+    keep = pool.eligible(neighbors)
+    rows = np.flatnonzero(keep.any(axis=1))
+    if rows.size == 0:
+        return picks
+    keep = keep[rows]
+    per_distance = [lam * math.exp(-lam * d) for d in range(int(pool.distances.max()) + 1)]
+    weights = np.array(per_distance)[pool.distances]
+    # pairwise sums over each compacted pool, exactly as the caller of
+    # rng.choice forms them
+    totals = np.array([weights[row].sum() for row in keep])
+    if not (totals > 0).all():
+        raise NumericFailure(
+            f"gossip weights at lam {lam:g} sum to {totals.min():g}; no record can be drawn"
+        )
+    # choice's cumsum and searchsorted(side="right"), one row per pool: an
+    # ineligible record adds 0.0 and repeats the running sum before it, so
+    # counting the entries <= u finds the eligible record searchsorted would
+    cdf = (np.where(keep, weights, 0.0) / totals[:, None]).cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    at = (cdf <= rng.random(rows.size)[:, None]).sum(axis=1)
+    for r, k in zip(rows.tolist(), at.tolist()):
+        picks[r] = pool.records[k]
+    return picks
 
 
 def update_db(db: HistoryDB, incoming: HistoryRecord) -> str:

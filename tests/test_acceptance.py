@@ -279,13 +279,14 @@ def test_gossip_selection_distribution():
             distance=dist,
             forwarder=9,
         )
-    filtered = filter_db(db, self_id=0, neighbor=1)
-    assert [r.distance for r in filtered] == [1, 2, 3]
+    pool = filter_db(db, self_id=0)
+    (keep,) = pool.eligible([1])
+    assert [r.distance for r, k in zip(pool.records, keep) if k] == [1, 2, 3]
     rng = np.random.default_rng(123)
     draws = 100_000
     counts = {1: 0, 2: 0, 3: 0}
-    for _ in range(draws):
-        counts[select_gossip(filtered, lam, rng).distance] += 1
+    for pick in select_gossip(pool, [1] * draws, lam, rng):
+        counts[pick.distance] += 1
     weights = np.array([lam * math.exp(-lam * d) for d in (1, 2, 3)])
     expected = draws * weights / weights.sum()
     observed = np.array([counts[1], counts[2], counts[3]], dtype=float)

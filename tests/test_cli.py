@@ -7,6 +7,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import warnings
 from dataclasses import is_dataclass
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -256,6 +257,16 @@ class TestRun:
         )
         assert code == EXIT_RUNTIME
         assert "runtime failure: RuntimeError: boom" in capsys.readouterr().err
+
+    def test_underflowing_gossip_weights_exit_runtime(self, tmp_path, capsys):
+        path = tmp_path / "lam.yaml"
+        path.write_text(BASE_YAML.replace("lam: 0.8", "lam: 1000"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "--config", str(path), "--out-dir", str(tmp_path / "x")])
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert re.search(r"runtime failure: NumericFailure: node \d+ round 1: .*lam 1000", err)
 
 
 class TestSweep:

@@ -15,6 +15,7 @@ from sybilsim.data import (
     apply_backdoor,
     apply_label_flip,
     attack_score,
+    attack_segment,
     corner_block_pattern,
     dirichlet_partition,
     load_idx,
@@ -220,7 +221,7 @@ class TestAttackScore:
         labels = [0, 0, 0, 1, 1, 1, 1, 2, 2, 2]
         test = LabeledDataset(np.zeros((10, 2)), labels, 3)
         model = self._constant_model(always=1)
-        score = attack_score(model, test, LabelFlip(0, 1))
+        score = attack_score(model, attack_segment(test, LabelFlip(0, 1)))
         # Segment is 7 samples (three 0s, four 1s); the three original 0s
         # carry transformed label 1.
         assert score == pytest.approx(3 / 7)
@@ -228,16 +229,15 @@ class TestAttackScore:
     def test_label_flip_empty_segment_undefined(self):
         test = LabeledDataset(np.zeros((4, 2)), [2, 2, 2, 2], 3)
         with pytest.raises(UndefinedScore):
-            attack_score(test and self._constant_model(0), test, LabelFlip(0, 1))
+            attack_segment(test, LabelFlip(0, 1))
 
     def test_backdoor_scores_stamped_set(self):
         test = LabeledDataset(np.full((5, 2), 0.5), [0, 1, 2, 0, 1], 3)
-        model = self._constant_model(always=2)
-        assert attack_score(model, test, Backdoor(((0, 1.0),), 2)) == 1.0
-        other = self._constant_model(always=0)
-        assert attack_score(other, test, Backdoor(((0, 1.0),), 2)) == 0.0
+        segment = attack_segment(test, Backdoor(((0, 1.0),), 2))
+        assert attack_score(self._constant_model(always=2), segment) == 1.0
+        assert attack_score(self._constant_model(always=0), segment) == 0.0
 
     def test_empty_test_set_rejected(self):
         empty = LabeledDataset(np.empty((0, 2)), [], 3)
         with pytest.raises(ValueError):
-            attack_score(self._constant_model(0), empty, LabelFlip(0, 1))
+            attack_segment(empty, LabelFlip(0, 1))

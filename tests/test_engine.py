@@ -12,6 +12,7 @@ import json
 import math
 import shutil
 import subprocess
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -334,6 +335,16 @@ class TestNumericFailure:
         with np.errstate(all="ignore"):
             with pytest.raises(NumericFailure, match=r"^node 0 round 0: "):
                 run_simulation(_cfg(train=train))
+
+    def test_underflowing_gossip_weights_name_the_node_round_and_lam(self):
+        """lam 1000 passes validation, but every exp(-lam * d) underflows once
+        a database holds its first records, in round 1."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                NumericFailure, match=r"^node \d+ round 1: gossip weights at lam 1000 "
+            ):
+                run_simulation(_cfg(gossip=GossipConfig(lam=1000.0), rounds=3))
 
 
 class TestReconstruction:

@@ -1,8 +1,11 @@
 """Gossip layer checks: signed bytes against a hand-packed golden, signature
 cover, the verifier's per-run memo, signature schemes, the relay filter,
-distance-weighted selection, and receive rules."""
+distance-weighted selection against the per-neighbor ``rng.choice`` draw it
+replaces, and receive rules."""
 
+import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ from sybilsim.gossip import (
     sign_payload,
     update_db,
 )
+from sybilsim.numerics import NumericFailure
 
 
 def _record(origin, round_no=1, distance=1, forwarder=99, values=(1.0,), sig=b"s"):
@@ -221,63 +225,144 @@ class TestSchemes:
             get_scheme("rot13")
 
 
+def _pool(*records, self_id=0):
+    db = HistoryDB()
+    for record in records:
+        db.records[record.block.origin] = record
+    return filter_db(db, self_id)
+
+
 class TestFilterDb:
     def test_predicate_enumeration(self):
         """Exactly the records that are neither about nor from the neighbor
         survive, and never our own entry."""
         self_id, neighbor = 0, 5
-        db = HistoryDB()
-        db.records[0] = _record(0, forwarder=3)       # own entry
-        db.records[5] = _record(5, forwarder=3)       # about the neighbor
-        db.records[7] = _record(7, forwarder=5)       # forwarded by the neighbor
-        db.records[2] = _record(2, forwarder=3)       # eligible
-        db.records[9] = _record(9, forwarder=1)       # eligible
-        got = filter_db(db, self_id, neighbor)
+        pool = _pool(
+            _record(0, forwarder=3),       # own entry
+            _record(5, forwarder=3),       # about the neighbor
+            _record(7, forwarder=5),       # forwarded by the neighbor
+            _record(2, forwarder=3),       # eligible
+            _record(9, forwarder=1),       # eligible
+            self_id=self_id,
+        )
+        assert [r.block.origin for r in pool.records] == [2, 5, 7, 9]
+        (keep,) = pool.eligible([neighbor])
+        got = [r for r, k in zip(pool.records, keep) if k]
         assert [r.block.origin for r in got] == [2, 9]
 
     def test_empty_db(self):
-        assert filter_db(HistoryDB(), 0, 1) == []
+        pool = filter_db(HistoryDB(), 0)
+        assert pool.records == []
+        assert pool.eligible([1]).shape == (1, 0)
 
 
 class TestSelectGossip:
     def test_empty_returns_none(self):
         rng = np.random.default_rng(0)
-        assert select_gossip([], 0.8, rng) is None
+        assert select_gossip(filter_db(HistoryDB(), 0), [1], 0.8, rng) == [None]
 
     def test_bad_lambda(self):
         with pytest.raises(ValueError):
-            select_gossip([_record(1)], 0.0, np.random.default_rng(0))
+            select_gossip(_pool(_record(1)), [5], 0.0, np.random.default_rng(0))
 
     def test_single_record_always_chosen(self):
         rng = np.random.default_rng(1)
         rec = _record(4, distance=9)
-        assert select_gossip([rec], 0.8, rng) is rec
+        assert select_gossip(_pool(rec), [5], 0.8, rng)[0] is rec
+
+    def test_one_pick_per_neighbor_in_order(self):
+        """A neighbor with nothing eligible gets None and draws nothing."""
+        near, far = _record(1, distance=1, forwarder=2), _record(2, distance=2, forwarder=1)
+        picks = select_gossip(_pool(near, far), [1, 2, 5], 0.8, np.random.default_rng(4))
+        assert picks[0] is None and picks[1] is None
+        assert picks[2] in (near, far)
 
     def test_distance_weight_ratio(self):
         """Distances 1 and 2 at lam 0.8 should split draws as
         e^0.8 : 1, about 69 percent to the closer record."""
         rng = np.random.default_rng(7)
         near, far = _record(1, distance=1), _record(2, distance=2)
-        draws = sum(
-            select_gossip([near, far], 0.8, rng).block.origin == 1 for _ in range(20000)
-        )
+        picks = select_gossip(_pool(near, far), [5] * 20000, 0.8, rng)
+        draws = sum(pick.block.origin == 1 for pick in picks)
         expect = np.exp(0.8) / (1.0 + np.exp(0.8))
         assert draws / 20000 == pytest.approx(expect, abs=0.02)
 
     def test_two_hop_gap_ratio(self):
         rng = np.random.default_rng(8)
         near, far = _record(1, distance=1), _record(2, distance=3)
-        draws = sum(
-            select_gossip([near, far], 0.8, rng).block.origin == 1 for _ in range(20000)
-        )
+        picks = select_gossip(_pool(near, far), [5] * 20000, 0.8, rng)
+        draws = sum(pick.block.origin == 1 for pick in picks)
         expect = np.exp(1.6) / (1.0 + np.exp(1.6))
         assert draws / 20000 == pytest.approx(expect, abs=0.02)
 
     def test_deterministic_under_seeded_rng(self):
-        recs = [_record(i, distance=1 + i % 3) for i in range(6)]
-        a = [select_gossip(recs, 0.8, np.random.default_rng(3)).block.origin for _ in range(1)]
-        b = [select_gossip(recs, 0.8, np.random.default_rng(3)).block.origin for _ in range(1)]
-        assert a == b
+        pool = _pool(*(_record(i, distance=1 + i % 3) for i in range(1, 7)))
+        a = select_gossip(pool, [8, 9], 0.8, np.random.default_rng(3))
+        b = select_gossip(pool, [8, 9], 0.8, np.random.default_rng(3))
+        assert [r.block.origin for r in a] == [r.block.origin for r in b]
+
+    def test_underflowing_weights_fail_without_a_warning(self):
+        pool = _pool(_record(1, distance=1), _record(2, distance=2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericFailure, match="lam 1000 sum to 0"):
+                select_gossip(pool, [5], 1000.0, np.random.default_rng(0))
+
+    def test_partly_underflowing_weights_still_draw(self):
+        """One record whose weight underflows beside one that does not:
+        the positive weight wins every draw, nothing is renormalized."""
+        near, far = _record(1, distance=1), _record(2, distance=2)
+        picks = select_gossip(_pool(near, far), [5] * 50, 500.0, np.random.default_rng(0))
+        assert all(pick is near for pick in picks)
+
+
+# The per-neighbor selection the simulator used before candidates were
+# gathered once per node and round: it is the reference for every draw.
+def _reference_filter(db, self_id, neighbor):
+    return [
+        record
+        for origin, record in sorted(db.records.items())
+        if origin not in (self_id, neighbor) and record.forwarder != neighbor
+    ]
+
+
+def _reference_select(filtered, lam, rng):
+    if not filtered:
+        return None
+    weights = np.array([lam * math.exp(-lam * r.distance) for r in filtered])
+    return filtered[rng.choice(len(filtered), p=weights / weights.sum())]
+
+
+class TestSelectionReference:
+    @pytest.mark.parametrize("lam", [0.05, 0.8, 3.0, 40.0])
+    def test_picks_and_stream_match_per_neighbor_choice(self, lam):
+        """Random databases, with and without an own entry, pools of one and
+        neighbors with no candidate, all drawn from one shared stream: the
+        same picks, and the stream left in the same state."""
+        gen = np.random.default_rng(2024)
+        ours, theirs = np.random.default_rng(99), np.random.default_rng(99)
+        draws = 0
+        for _ in range(300):
+            self_id = int(gen.integers(0, 12))
+            db = HistoryDB()
+            size = int(gen.choice([0, 1, 1, 2, 5, 12]))
+            for origin in gen.choice(12, size=size, replace=False).tolist():
+                db.records[origin] = _record(
+                    origin,
+                    distance=int(gen.integers(0 if origin == self_id else 1, 7)),
+                    forwarder=int(gen.integers(0, 12)),
+                )
+            neighbors = gen.choice(12, size=int(gen.integers(0, 8)), replace=False).tolist()
+            got = select_gossip(filter_db(db, self_id), neighbors, lam, ours)
+            want = [
+                _reference_select(_reference_filter(db, self_id, j), lam, theirs)
+                for j in neighbors
+            ]
+            assert len(got) == len(want)
+            assert all(g is w for g, w in zip(got, want))
+            draws += sum(w is not None for w in want)
+        assert draws > 500
+        assert ours.random() == theirs.random()
 
 
 class TestUpdateDb:
