@@ -3,8 +3,9 @@
 Covers the plain weighted average, similarity-scored averaging with a
 pardoning step, distance-based selection (Krum and its multi-model and
 filtering variants), coordinate-wise medians, and the trust-own-model
-variant used as the main defense.  Score vectors are plain dicts keyed by
-node id; weights stay in [0, 1] until a caller normalizes them.
+variant used as the main defense.  Scores and weights are plain dicts keyed
+by node id, in [0, 1] until a caller normalizes them; the one combine step,
+``weighted_average``, takes models and weights as aligned sequences.
 
 All functions are pure and deterministic.
 """
@@ -74,8 +75,7 @@ def fedavg(models: Sequence[Tuple[np.ndarray, int]]) -> np.ndarray:
     dim = vectors[0].size
     if any(v.size != dim for v in vectors):
         raise ValueError("model length mismatch")
-    weights = counts / counts.sum()
-    return np.einsum("i,ij->j", weights, np.stack(vectors))
+    return weighted_average(vectors, counts / counts.sum())
 
 
 def foolsgold_scores(
@@ -201,69 +201,15 @@ def sybilwall_weights(
     return {i: w / total for i, w in weights.items()}, degenerate
 
 
-def weighted_average(c: ContributionSet, weights: Dict[int, float]) -> np.ndarray:
-    """Convex combination of the own and direct models under ``weights``."""
-    _check_weight_cover(c, weights)
-    out = weights[c.own[0]] * c.own[1]
-    for i, model, _ in c.direct:
-        out = out + weights[i] * model
+def weighted_average(models: Sequence[np.ndarray], weights: Sequence[float]) -> np.ndarray:
+    """``w0 * m0 + w1 * m1 + ...``, the terms added in the order given."""
+    terms = (w * m for w, m in zip(weights, models, strict=True))
+    out = next(terms, None)
+    if out is None:
+        raise ValueError("weighted_average needs at least one model")
+    for term in terms:
+        out += term
     return out
-
-
-def _check_weight_cover(c: ContributionSet, weights: Dict[int, float]) -> None:
-    needed = {c.own[0]} | {i for i, _, _ in c.direct}
-    if not needed <= set(weights):
-        missing = sorted(needed - set(weights))
-        raise ValueError(f"weights missing for nodes {missing}")
-
-
-def enhance_median(c: ContributionSet, weights: Dict[int, float]) -> np.ndarray:
-    """Coordinate-wise median of the ceil(k/2) highest-weighted models."""
-    _check_weight_cover(c, weights)
-    entries = [(c.own[0], c.own[1])] + [(i, m) for i, m, _ in c.direct]
-    keep = math.ceil(len(entries) / 2)
-    entries.sort(key=lambda e: (-weights[e[0]], e[0]))
-    return coordinate_median([m for _, m in entries[:keep]])
-
-
-def enhance_weighted_median(c: ContributionSet, weights: Dict[int, float]) -> np.ndarray:
-    """Per coordinate, the smallest value whose cumulative weight reaches half."""
-    _check_weight_cover(c, weights)
-    entries = [(c.own[0], c.own[1])] + [(i, m) for i, m, _ in c.direct]
-    stacked = np.stack([m for _, m in entries])
-    w = np.array([weights[i] for i, _ in entries], dtype=np.float64)
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("weights must not all be zero")
-    order = np.argsort(stacked, axis=0, kind="stable")
-    sorted_vals = np.take_along_axis(stacked, order, axis=0)
-    sorted_w = np.cumsum(w[order], axis=0)
-    threshold = total / 2.0 - 1e-12 * total
-    first = np.argmax(sorted_w >= threshold, axis=0)
-    return np.take_along_axis(sorted_vals, first[None, :], axis=0)[0]
-
-
-def enhance_krum_filter(
-    c: ContributionSet, weights: Dict[int, float], f: int = 1
-) -> np.ndarray:
-    """Weighted average with the model Krum ranks last zeroed out.
-
-    Krum's distance sum grows with eccentricity, so the largest sum marks
-    the entry farthest from every group of agreeing models; that is where
-    a poisoned contribution sits once the honest nodes have converged.
-    Fewer than f + 3 models leaves the weights untouched.
-    """
-    _check_weight_cover(c, weights)
-    entries = [(c.own[0], c.own[1])] + [(i, m) for i, m, _ in c.direct]
-    filtered = dict(weights)
-    if len(entries) >= f + 3:
-        scores = krum_score([m for _, m in entries], f)
-        filtered[entries[int(np.argmax(scores))][0]] = 0.0
-    total = sum(filtered[i] for i, _ in entries)
-    if total <= 0:
-        return c.own[1].copy()
-    normalized = {i: filtered[i] / total for i, _ in entries}
-    return weighted_average(c, normalized)
 
 
 def apply_weights(
@@ -271,15 +217,48 @@ def apply_weights(
 ) -> np.ndarray:
     """Combine the own and direct models under ``weights``.
 
-    ``enhancement`` picks the combination step: None for the plain weighted
-    average, or one of "median", "wmedian", "krumfilter".
+    ``enhancement`` picks the combination step:
+
+    - None: the weighted average.
+    - "median": the coordinate-wise median of the ceil(k/2) highest-weighted
+      of the k models, ties going to the lower node id.
+    - "wmedian": per coordinate, the smallest value whose cumulative weight
+      reaches half the total; all-zero weights are an error.
+    - "krumfilter": the weighted average, renormalized, after zeroing the
+      model Krum (f = 1) ranks last.  Krum's distance sum grows with
+      eccentricity, so the largest sum marks the model farthest from every
+      group of agreeing models; that is where a poisoned contribution sits
+      once the honest nodes have converged.  Fewer than 4 models are left
+      unfiltered, and weights that all end up zero keep the own model.
     """
-    if enhancement is None:
-        return weighted_average(c, weights)
+    if enhancement not in (None, "median", "wmedian", "krumfilter"):
+        raise ValueError(f"unknown enhancement {enhancement!r}")
+    ids = [c.own[0]] + [i for i, _, _ in c.direct]
+    missing = sorted(i for i in ids if i not in weights)
+    if missing:
+        raise ValueError(f"weights missing for nodes {missing}")
+    models = [c.own[1]] + [m for _, m, _ in c.direct]
+    w = np.array([weights[i] for i in ids], dtype=np.float64)
     if enhancement == "median":
-        return enhance_median(c, weights)
+        ranked = sorted(range(len(ids)), key=lambda k: (-w[k], ids[k]))
+        return coordinate_median([models[k] for k in ranked[: math.ceil(len(ids) / 2)]])
     if enhancement == "wmedian":
-        return enhance_weighted_median(c, weights)
+        total = w.sum()
+        if total <= 0:
+            raise ValueError("weights must not all be zero")
+        stacked = np.stack(models)
+        order = np.argsort(stacked, axis=0, kind="stable")
+        sorted_vals = np.take_along_axis(stacked, order, axis=0)
+        sorted_w = np.cumsum(w[order], axis=0)
+        threshold = total / 2.0 - 1e-12 * total
+        first = np.argmax(sorted_w >= threshold, axis=0)
+        return np.take_along_axis(sorted_vals, first[None, :], axis=0)[0]
     if enhancement == "krumfilter":
-        return enhance_krum_filter(c, weights)
-    raise ValueError(f"unknown enhancement {enhancement!r}")
+        if len(models) >= 4:
+            w[int(np.argmax(krum_score(models, 1)))] = 0.0
+        # summed left to right: numpy's pairwise w.sum() regroups from 8 terms
+        total = sum(w.tolist())
+        if total <= 0:
+            return c.own[1].copy()
+        w = w / total
+    return weighted_average(models, w)

@@ -9,7 +9,7 @@ with a usable message.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import List, Optional
 
 AGGREGATORS = (
@@ -115,6 +115,8 @@ class SimulationConfig:
         return asdict(self)
 
     def validate(self) -> "SimulationConfig":
+        for path, value in _float_settings(self):
+            _require(math.isfinite(value), path, "must be finite")
         _require(0 <= self.seed < SEED_LIMIT, "seed", "must lie in [0, 2**63)")
         _require(
             self.topology.seed is None or 0 <= self.topology.seed < SEED_LIMIT,
@@ -209,6 +211,17 @@ class SimulationConfig:
 def _require(ok: bool, path: str, problem: str) -> None:
     if not ok:
         raise ConfigError(f"{path}: {problem}")
+
+
+def _float_settings(section, path: str = ""):
+    """(dotted path, value) of every float field in a config and its sections."""
+    for f in fields(section):
+        value = getattr(section, f.name)
+        sub = f"{path}.{f.name}" if path else f.name
+        if is_dataclass(value):
+            yield from _float_settings(value, sub)
+        elif f.type == "float":
+            yield sub, value
 
 
 # Python types a YAML scalar may have for each field type; an int is a

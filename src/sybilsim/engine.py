@@ -130,7 +130,6 @@ class RunResult:
     rejected_counts: List[int] = field(default_factory=list)  # dropped on receipt
     trained_trace: Optional[Dict[Tuple[int, int], np.ndarray]] = None
     inferred_trace: Optional[List[Tuple[int, int, int, np.ndarray]]] = None
-    direct_counts: Optional[Dict[Tuple[int, int], int]] = None
 
     def metrics_csv(self) -> str:
         lines = [CSV_HEADER] + [m.csv_line() for m in self.metrics]
@@ -343,8 +342,7 @@ def _aggregate(
         total = sum(scores.values())
         if total <= 0:
             return state.model.copy(), False
-        weights = {i: s / total for i, s in scores.items()}
-        return weighted_average(ContributionSet(own=own, direct=direct), weights), False
+        return weighted_average(models, [scores[i] / total for i, _, _ in everyone]), False
     # the sybilwall family
     enhancement = name.partition("+")[2] or None
     indirect = tuple(
@@ -475,7 +473,6 @@ def run_simulation(
     activity: Dict[int, Dict[int, str]] = {i: {} for i in honest_ids}
     trained_trace: Dict[Tuple[int, int], np.ndarray] = {}
     inferred_trace: List[Tuple[int, int, int, np.ndarray]] = []
-    direct_counts: Dict[Tuple[int, int], int] = {}
 
     inboxes: Dict[int, List[RoundMessage]] = {i: [] for i in all_ids}
     metrics: List[RoundMetrics] = []
@@ -506,8 +503,6 @@ def run_simulation(
             starts[i] = Model(aggregated, arch)
             if i in full_g.honest:
                 degenerates += degenerate
-                if trace:
-                    direct_counts[(i, rnd)] = len(received)
 
         # evaluate before any training, in id order: the means sum in that order
         accuracies, atks = [], []
@@ -577,5 +572,4 @@ def run_simulation(
         rejected_counts=rejected_counts,
         trained_trace=trained_trace if trace else None,
         inferred_trace=inferred_trace if trace else None,
-        direct_counts=direct_counts if trace else None,
     )

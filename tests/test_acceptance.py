@@ -45,6 +45,7 @@ from sybilsim.gossip import (
     select_gossip,
 )
 from sybilsim.topology import build_attack_network, validate_topology
+from test_engine import direct_counts
 
 SEEDS = (1, 2, 3, 4, 5)
 QUICKSTART = os.path.join(
@@ -329,7 +330,8 @@ def test_outage_reconstruction_and_resume():
         res.activity[5][5],
         res.activity[5][6],
     )
-    resumed = (5, 5) not in res.direct_counts and res.direct_counts.get((5, 6), 0) >= 1
+    counts = direct_counts(res)
+    resumed = (5, 5) not in counts and counts.get((5, 6), 0) >= 1
     ok = (
         mismatches == 0
         and len(res.inferred_trace) > 0
@@ -341,7 +343,7 @@ def test_outage_reconstruction_and_resume():
         ok,
         f"{len(res.inferred_trace)} reconstructions, {mismatches} mismatches, "
         f"lifecycle {'/'.join(lifecycle)}, aggregation back with "
-        f"{res.direct_counts.get((5, 6), 0)} direct models",
+        f"{counts.get((5, 6), 0)} direct models",
     )
 
 

@@ -16,9 +16,6 @@ from sybilsim.aggregation import (
     ContributionSet,
     apply_weights,
     coordinate_median,
-    enhance_krum_filter,
-    enhance_median,
-    enhance_weighted_median,
     fedavg,
     foolsgold_scores,
     krum_score,
@@ -448,14 +445,25 @@ class TestSybilwallWeights:
 
 class TestWeightedAverage:
     def test_explicit_combination(self):
-        c = _cset([1.0, 0.0], [(1, [0.0, 1.0], [1.0, 1.0])])
-        out = weighted_average(c, {0: 0.75, 1: 0.25})
+        out = weighted_average([np.array([1.0, 0.0]), np.array([0.0, 1.0])], [0.75, 0.25])
         assert out == pytest.approx([0.75, 0.25])
 
     def test_missing_weight_rejected(self):
         c = _cset([1.0], [(1, [2.0], [1.0])])
         with pytest.raises(ValueError, match="missing"):
-            weighted_average(c, {0: 1.0})
+            apply_weights(c, {0: 1.0})
+        with pytest.raises(ValueError):
+            weighted_average([c.own[1], c.direct[0][1]], [1.0])
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            weighted_average([], [])
+
+    def test_adds_left_to_right(self):
+        # (1 + 2^-53) + 2^-53 rounds to 1 twice; 1 + (2^-53 + 2^-53) does not
+        tiny = 2.0**-53
+        out = weighted_average([np.array([1.0]), np.array([tiny]), np.array([tiny])], [1, 1, 1])
+        assert out[0] == 1.0
 
 
 class TestEnhanceMedian:
@@ -465,50 +473,50 @@ class TestEnhanceMedian:
             [(1, [0.0], [1.0]), (2, [2.0], [1.0]), (3, [99.0], [1.0])],
         )
         weights = {0: 0.4, 1: 0.9, 2: 0.9, 3: 0.1}
-        out = enhance_median(c, weights)
+        out = apply_weights(c, weights, "median")
         assert out == pytest.approx([1.0])
 
     def test_tie_break_prefers_lower_id(self):
         c = _cset([0.0], [(1, [4.0], [1.0]), (2, [100.0], [1.0])])
-        out = enhance_median(c, {0: 0.5, 1: 0.5, 2: 0.5})
+        out = apply_weights(c, {0: 0.5, 1: 0.5, 2: 0.5}, "median")
         assert out == pytest.approx([2.0])
 
     def test_single_entry_majority(self):
         c = _cset([3.0], [(1, [9.0], [1.0])])
-        out = enhance_median(c, {0: 1.0, 1: 0.2})
+        out = apply_weights(c, {0: 1.0, 1: 0.2}, "median")
         assert out == pytest.approx([3.0])
 
 
 class TestEnhanceWeightedMedian:
     def test_lower_median_on_equal_pair(self):
         c = _cset([0.0], [(1, [4.0], [1.0])])
-        out = enhance_weighted_median(c, {0: 1.0, 1: 1.0})
+        out = apply_weights(c, {0: 1.0, 1: 1.0}, "wmedian")
         assert out == pytest.approx([0.0])
 
     def test_weight_mass_shifts_pick(self):
         c = _cset([0.0], [(1, [4.0], [1.0])])
-        out = enhance_weighted_median(c, {0: 1.0, 1: 3.0})
+        out = apply_weights(c, {0: 1.0, 1: 3.0}, "wmedian")
         assert out == pytest.approx([4.0])
 
     def test_equal_weights_reduce_to_median(self):
         c = _cset([1.0], [(1, [5.0], [1.0]), (2, [9.0], [1.0])])
-        out = enhance_weighted_median(c, {0: 1.0, 1: 1.0, 2: 1.0})
+        out = apply_weights(c, {0: 1.0, 1: 1.0, 2: 1.0}, "wmedian")
         assert out == pytest.approx([5.0])
 
     def test_zero_weight_values_ignored(self):
         c = _cset([7.0], [(1, [-50.0], [1.0]), (2, [7.0], [1.0])])
-        out = enhance_weighted_median(c, {0: 1.0, 1: 0.0, 2: 1.0})
+        out = apply_weights(c, {0: 1.0, 1: 0.0, 2: 1.0}, "wmedian")
         assert out == pytest.approx([7.0])
 
     def test_per_coordinate_independence(self):
         c = _cset([0.0, 9.0], [(1, [4.0, 1.0], [1.0, 1.0])])
-        out = enhance_weighted_median(c, {0: 1.0, 1: 3.0})
+        out = apply_weights(c, {0: 1.0, 1: 3.0}, "wmedian")
         assert out == pytest.approx([4.0, 1.0])
 
     def test_all_zero_weights_rejected(self):
         c = _cset([0.0], [(1, [4.0], [1.0])])
         with pytest.raises(ValueError):
-            enhance_weighted_median(c, {0: 0.0, 1: 0.0})
+            apply_weights(c, {0: 0.0, 1: 0.0}, "wmedian")
 
 
 class TestEnhanceKrumFilter:
@@ -519,7 +527,7 @@ class TestEnhanceKrumFilter:
              (4, [5.2], [1.0])],
         )
         weights = {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0, 4: 1.0}
-        out = enhance_krum_filter(c, weights)
+        out = apply_weights(c, weights, "krumfilter")
         scores = _brute_krum_scores([[0.0], [0.1], [0.2], [5.0], [5.2]], 1)
         assert int(np.argmax(scores)) == 4
         want = (0.0 + 0.1 + 0.2 + 5.0) / 4
@@ -534,7 +542,7 @@ class TestEnhanceKrumFilter:
         )
         scores = _brute_krum_scores([[0.0], [4.0], [8.0], [5.0], [5.0]], 1)
         assert int(np.argmax(scores)) == 0
-        out = enhance_krum_filter(c, {i: 1.0 for i in range(5)})
+        out = apply_weights(c, {i: 1.0 for i in range(5)}, "krumfilter")
         want = (4.0 + 8.0 + 5.0 + 5.0) / 4
         assert out == pytest.approx([want])
 
@@ -548,14 +556,14 @@ class TestEnhanceKrumFilter:
         )
         scores = _brute_krum_scores([[5.1], [5.0], [5.0], [4.9], [-3.0]], 1)
         assert int(np.argmax(scores)) == 4
-        out = enhance_krum_filter(c, {i: 1.0 for i in range(5)})
+        out = apply_weights(c, {i: 1.0 for i in range(5)}, "krumfilter")
         assert out == pytest.approx([(5.1 + 5.0 + 5.0 + 4.9) / 4])
 
     def test_small_sets_left_unfiltered(self):
         c = _cset([0.0], [(1, [4.0], [1.0]), (2, [8.0], [1.0])])
         weights = {0: 0.5, 1: 0.25, 2: 0.25}
-        out = enhance_krum_filter(c, weights)
-        assert out == pytest.approx(weighted_average(c, weights))
+        out = apply_weights(c, weights, "krumfilter")
+        assert out == pytest.approx(apply_weights(c, weights))
 
     def test_all_weight_on_filtered_model_returns_own(self):
         c = _cset(
@@ -565,7 +573,7 @@ class TestEnhanceKrumFilter:
         )
         scores = _brute_krum_scores([[0.0], [1.0], [-10.0], [0.2], [0.5]], 1)
         assert int(np.argmax(scores)) == 2
-        out = enhance_krum_filter(c, {0: 0.0, 1: 0.0, 2: 0.7, 3: 0.0, 4: 0.0})
+        out = apply_weights(c, {0: 0.0, 1: 0.0, 2: 0.7, 3: 0.0, 4: 0.0}, "krumfilter")
         assert out == pytest.approx([0.0])
 
 
@@ -578,13 +586,165 @@ class TestDispatch:
              (2, rng.normal(size=3), rng.normal(size=3))],
         )
         weights, _ = sybilwall_weights(c)
-        assert apply_weights(c, weights) == pytest.approx(weighted_average(c, weights))
+        models = [c.own[1]] + [m for _, m, _ in c.direct]
+        want = weighted_average(models, [weights[i] for i in (0, 1, 2)])
+        assert apply_weights(c, weights) == pytest.approx(want)
 
     def test_unknown_enhancement_rejected(self):
         c = _cset([0.0], [(1, [1.0], [1.0])])
         weights, _ = sybilwall_weights(c)
         with pytest.raises(ValueError, match="unknown"):
             apply_weights(c, weights, enhancement="trimmed")
+
+
+# The per-rule combines that ``weighted_average`` and ``apply_weights``
+# replaced, kept verbatim as the reference for the single combine path.
+
+
+def _ref_fedavg(models):
+    if not models:
+        raise ValueError("fedavg needs at least one model")
+    vectors = [np.asarray(m, dtype=np.float64) for m, _ in models]
+    counts = np.array([c for _, c in models], dtype=np.float64)
+    if np.any(counts <= 0):
+        raise ValueError("sample counts must be positive")
+    dim = vectors[0].size
+    if any(v.size != dim for v in vectors):
+        raise ValueError("model length mismatch")
+    weights = counts / counts.sum()
+    return np.einsum("i,ij->j", weights, np.stack(vectors))
+
+
+def _ref_weighted_average(c, weights):
+    _ref_check_weight_cover(c, weights)
+    out = weights[c.own[0]] * c.own[1]
+    for i, model, _ in c.direct:
+        out = out + weights[i] * model
+    return out
+
+
+def _ref_check_weight_cover(c, weights):
+    needed = {c.own[0]} | {i for i, _, _ in c.direct}
+    if not needed <= set(weights):
+        missing = sorted(needed - set(weights))
+        raise ValueError(f"weights missing for nodes {missing}")
+
+
+def _ref_enhance_median(c, weights):
+    _ref_check_weight_cover(c, weights)
+    entries = [(c.own[0], c.own[1])] + [(i, m) for i, m, _ in c.direct]
+    keep = math.ceil(len(entries) / 2)
+    entries.sort(key=lambda e: (-weights[e[0]], e[0]))
+    return coordinate_median([m for _, m in entries[:keep]])
+
+
+def _ref_enhance_weighted_median(c, weights):
+    _ref_check_weight_cover(c, weights)
+    entries = [(c.own[0], c.own[1])] + [(i, m) for i, m, _ in c.direct]
+    stacked = np.stack([m for _, m in entries])
+    w = np.array([weights[i] for i, _ in entries], dtype=np.float64)
+    total = w.sum()
+    if total <= 0:
+        raise ValueError("weights must not all be zero")
+    order = np.argsort(stacked, axis=0, kind="stable")
+    sorted_vals = np.take_along_axis(stacked, order, axis=0)
+    sorted_w = np.cumsum(w[order], axis=0)
+    threshold = total / 2.0 - 1e-12 * total
+    first = np.argmax(sorted_w >= threshold, axis=0)
+    return np.take_along_axis(sorted_vals, first[None, :], axis=0)[0]
+
+
+def _ref_enhance_krum_filter(c, weights, f=1):
+    _ref_check_weight_cover(c, weights)
+    entries = [(c.own[0], c.own[1])] + [(i, m) for i, m, _ in c.direct]
+    filtered = dict(weights)
+    if len(entries) >= f + 3:
+        scores = krum_score([m for _, m in entries], f)
+        filtered[entries[int(np.argmax(scores))][0]] = 0.0
+    total = sum(filtered[i] for i, _ in entries)
+    if total <= 0:
+        return c.own[1].copy()
+    normalized = {i: filtered[i] / total for i, _ in entries}
+    return _ref_weighted_average(c, normalized)
+
+
+_REF_APPLY = {
+    None: _ref_weighted_average,
+    "median": _ref_enhance_median,
+    "wmedian": _ref_enhance_weighted_median,
+    "krumfilter": _ref_enhance_krum_filter,
+}
+
+
+def _outcome(fn, *args):
+    """The result's bytes, or the error type and message."""
+    try:
+        return fn(*args).tobytes()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestFoldMatchesReference:
+    """Bit-for-bit agreement with the reference on engine-shaped inputs:
+    the own model plus 1-8 direct models of 650 values on the 2^-30 grid,
+    with clones, zeroed weights and sybilwall's normalized weights."""
+
+    @staticmethod
+    def _trial(rng):
+        def grid(scale=1.0):
+            return np.round(rng.normal(scale=scale, size=650) * 2.0**30) / 2.0**30
+
+        k = int(rng.integers(1, 9))
+        ids = [0] + sorted(rng.choice(np.arange(1, 40), size=k, replace=False).tolist())
+        models = [grid(float(rng.choice([1e-3, 1.0]))) for _ in ids]
+        for a in range(1, len(ids)):
+            if rng.random() < 0.25:  # a clone of an earlier model
+                models[a] = models[int(rng.integers(0, a))].copy()
+        directs = [(i, m, grid()) for i, m in zip(ids[1:], models[1:])]
+        c = _cset(models[0], directs, [(50, grid())], own_hist=grid())
+        if rng.random() < 0.5:
+            weights, _ = sybilwall_weights(c, kappa=float(rng.choice([1.0, 8.0])))
+        else:
+            raw = rng.random(len(ids)) * (rng.random(len(ids)) < 0.6)
+            weights = dict(zip(ids, raw.tolist()))
+        counts = rng.integers(1, 60, size=len(ids)).tolist()
+        return c, weights, counts
+
+    def test_random_engine_shaped_inputs(self):
+        rng = np.random.default_rng(2306)
+        for _ in range(300):
+            c, weights, counts = self._trial(rng)
+            models = [c.own[1]] + [m for _, m, _ in c.direct]
+            ids = [c.own[0]] + [i for i, _, _ in c.direct]
+            pairs = list(zip(models, counts))
+            assert fedavg(pairs).tobytes() == _ref_fedavg(pairs).tobytes()
+            total = sum(weights.values())
+            if total > 0:
+                ordered = [weights[i] / total for i in ids]
+                want = _ref_weighted_average(c, {i: weights[i] / total for i in ids})
+                assert weighted_average(models, ordered).tobytes() == want.tobytes()
+            for mode, ref in _REF_APPLY.items():
+                assert _outcome(apply_weights, c, weights, mode) == _outcome(
+                    ref, c, weights
+                ), mode
+
+    def test_error_cases_raise_the_same_message(self):
+        c = _cset([0.0, 1.0], [(1, [4.0, 2.0], [1.0, 1.0]), (2, [3.0, 3.0], [1.0, 2.0])])
+        for weights in ({0: 1.0}, {1: 1.0, 2: 1.0}, {}, {0: 0.0, 1: 0.0, 2: 0.0}):
+            for mode, ref in _REF_APPLY.items():
+                got = _outcome(apply_weights, c, weights, mode)
+                assert got == _outcome(ref, c, weights), (weights, mode)
+        for bad in ([], [(np.ones(2), 0)], [(np.ones(2), 1), (np.ones(3), 1)]):
+            assert _outcome(fedavg, bad) == _outcome(_ref_fedavg, bad)
+
+    def test_all_negative_zero_coordinate(self):
+        """The one place the fold differs: einsum summed from +0.0, so a
+        coordinate that is -0.0 in every model averaged to +0.0; the terms
+        alone add to -0.0.  The two compare equal as numbers."""
+        models = [(np.array([-0.0, 1.0]), 1), (np.array([-0.0, 3.0]), 3)]
+        got, want = fedavg(models), _ref_fedavg(models)
+        assert np.array_equal(got, want)
+        assert np.signbit(got[0]) and not np.signbit(want[0])
 
 
 class TestContributionSet:

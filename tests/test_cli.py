@@ -1,6 +1,7 @@
 """Command line interface: argument handling, outputs, exit codes."""
 
 import json
+import math
 import os
 import re
 import shutil
@@ -17,7 +18,7 @@ import pytest
 
 import sybilsim
 from sybilsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
-from sybilsim.config import SimulationConfig, load_config
+from sybilsim.config import AttackConfig, ConfigError, SimulationConfig, load_config
 from sybilsim.engine import run_simulation
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -71,6 +72,19 @@ def attack_config_file(tmp_path):
     path = tmp_path / "attack.yaml"
     path.write_text(ATTACK_YAML)
     return str(path)
+
+
+def _float_paths(cls, prefix=""):
+    """Dotted path of every float field, sections and optional sections opened."""
+    for name, hint in get_type_hints(cls).items():
+        inner = [t for t in (hint, *get_args(hint)) if is_dataclass(t)]
+        if inner:
+            yield from _float_paths(inner[0], f"{prefix}{name}.")
+        elif hint is float:
+            yield f"{prefix}{name}"
+
+
+FLOAT_PATHS = list(_float_paths(SimulationConfig))
 
 
 class TestValidate:
@@ -199,6 +213,29 @@ class TestValidate:
         args = ["--config", config_file, "--seed", str(2**63 - 1)]
         assert main(["validate"] + args) == EXIT_OK
         assert main(["run", "--out-dir", str(tmp_path)] + args) == EXIT_OK
+
+    def test_every_float_setting_is_found(self):
+        assert FLOAT_PATHS == [
+            "topology.radius", "data.spread", "data.alpha", "train.learning_rate",
+            "attack.phi", "attack.pattern_value", "gossip.lam", "rule_params.kappa",
+        ]
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("path", FLOAT_PATHS)
+    def test_non_finite_float_setting_is_a_config_error(self, path, value):
+        cfg = SimulationConfig(attack=AttackConfig(kind="backdoor"))
+        section, name = path.split(".")
+        setattr(getattr(cfg, section), name, value)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: must be finite$"):
+            cfg.validate()
+
+    def test_infinite_phi_fails_validate_with_exit_2(self, tmp_path, capsys):
+        # checked before the attack-edge headroom, whose math.ceil(phi) would
+        # raise OverflowError, a runtime failure
+        path = tmp_path / "inf.yaml"
+        path.write_text(ATTACK_YAML.replace("phi: 1.0", "phi: .inf"))
+        assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+        assert "config error: attack.phi: must be finite" in capsys.readouterr().err
 
     def test_int_for_float_and_null_for_optional_accepted(self, tmp_path):
         path = tmp_path / "loose.yaml"
