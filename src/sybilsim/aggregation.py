@@ -136,14 +136,15 @@ def krum_score(models: Sequence[np.ndarray], f: int) -> List[float]:
     if n < f + 3:
         raise ValueError(f"krum needs at least f + 3 = {f + 3} models, got {n}")
     stacked = np.stack(vectors)
-    diff = stacked[:, None, :] - stacked[None, :, :]
-    d2 = (diff ** 2).sum(axis=2)
-    keep = n - f - 2
-    scores = []
-    for i in range(n):
-        others = np.sort(np.delete(d2[i], i))
-        scores.append(float(others[:keep].sum()))
-    return scores
+    # Each pair's squared distance once, then every row's n - 1 others
+    # ranked in one sort.
+    upper, lower = np.triu_indices(n, 1)
+    diff = stacked[upper] - stacked[lower]
+    diff *= diff
+    d2 = np.empty((n, n))
+    d2[upper, lower] = d2[lower, upper] = diff.sum(axis=1)
+    others = np.sort(d2[~np.eye(n, dtype=bool)].reshape(n, n - 1), axis=1)
+    return others[:, : n - f - 2].sum(axis=1).tolist()
 
 
 def krum_select(models: Sequence[np.ndarray], f: int) -> np.ndarray:

@@ -8,6 +8,7 @@ fewest Sybils that respect the degree bound.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
@@ -195,30 +196,53 @@ def cap_degrees(g: Topology, e: int, seed: int) -> Topology:
     Only edges touching an over-degree node are candidates, and only those
     whose removal keeps the graph in a single connected component.  The
     graph is checked connected once and stays connected after every
-    removal, so an edge qualifies exactly when it is not a bridge; one
-    bridge pass per removal finds them all.  The RNG picks among the
-    sorted candidates.
+    removal, so an edge qualifies exactly when it is not a bridge.  The RNG
+    picks among the sorted candidates.
+
+    The sorted candidate list is built once, from one bridge pass, and
+    updated in place after each removal.  Degrees only fall and bridges
+    only appear as edges go, so the list only loses edges: the removed one,
+    those of an endpoint that fell to ``e`` whose other end is not over, and
+    any new bridge.  A new bridge must separate the removed edge's two
+    endpoints, and two common neighbours give them two edge-disjoint paths,
+    so then the bridges are unchanged; otherwise one bridge pass finds them.
+    The list therefore equals the one a fresh bridge pass would give before
+    every draw, and the result is the same as recomputing it each time.
     """
     if e < 2:
         raise ValueError("degree bound must be >= 2")
     rng = np.random.default_rng(seed)
     adj = {n: set(v) for n, v in g.adjacency().items()}
-    over = sorted(n for n in adj if len(adj[n]) > e)
-    if over and len(bfs_distances(g, over[:1])) < len(adj):
+    over = {n for n in adj if len(adj[n]) > e}
+    if over and len(bfs_distances(g, [min(over)])) < len(adj):
         raise CappingFailure(
-            f"nodes {over} exceed degree {e} but the graph is not connected"
+            f"nodes {sorted(over)} exceed degree {e} but the graph is not connected"
         )
+    incident = {_norm_edge(n, m) for n in over for m in adj[n]}
+    candidates = sorted(incident - _bridges(adj))
+
+    def discard(edge: Edge) -> None:
+        i = bisect.bisect_left(candidates, edge)
+        if i < len(candidates) and candidates[i] == edge:
+            del candidates[i]
+
     while over:
-        incident = {_norm_edge(n, m) for n in over for m in adj[n]}
-        candidates = sorted(incident - _bridges(adj))
         if not candidates:
             raise CappingFailure(
-                f"nodes {over} exceed degree {e} but every incident edge is a bridge"
+                f"nodes {sorted(over)} exceed degree {e} but every incident edge is a bridge"
             )
-        a, b = candidates[rng.integers(len(candidates))]
+        a, b = candidates.pop(rng.integers(len(candidates)))
         adj[a].discard(b)
         adj[b].discard(a)
-        over = sorted(n for n in adj if len(adj[n]) > e)
+        fell = [n for n in (a, b) if len(adj[n]) == e]
+        over.difference_update(fell)
+        for n in fell:
+            for m in adj[n]:
+                if m not in over:
+                    discard(_norm_edge(n, m))
+        if len(adj[a] & adj[b]) < 2:
+            for edge in _bridges(adj):
+                discard(edge)
 
     edges = frozenset((a, b) for a in adj for b in adj[a] if a < b)
     return Topology(g.honest, g.sybils, edges, min(g.degree_bound, e))

@@ -293,6 +293,57 @@ class TestKrum:
             multi_krum([np.zeros(2)] * 5, 1, 6)
 
 
+def _delete_per_row_krum_score(models, f):
+    """``krum_score`` as it was first written: the full (n, n, D) difference,
+    then each row's distances with ``np.delete``, sorted and summed."""
+    stacked = np.stack([np.asarray(m, dtype=np.float64) for m in models])
+    n = len(stacked)
+    diff = stacked[:, None, :] - stacked[None, :, :]
+    d2 = (diff ** 2).sum(axis=2)
+    keep = n - f - 2
+    scores = []
+    for i in range(n):
+        others = np.sort(np.delete(d2[i], i))
+        scores.append(float(others[:keep].sum()))
+    return scores
+
+
+class TestKrumMatchesReference:
+    """Each pair's distance computed once and one sort per matrix give the
+    same bits as the per-row rule, also where row sums of 8 or more take
+    numpy's pairwise summation."""
+
+    @pytest.mark.parametrize("dim", [1, 7, 170, 650])
+    def test_random_pools_with_clones(self, dim):
+        rng = np.random.default_rng(dim)
+        for trial in range(60):
+            n = int(rng.integers(3, 21))
+            f = 0 if trial % 2 else int(rng.integers(0, n - 2))
+            scale = float(rng.choice([1e-3, 1.0, 1e3]))
+            models = [rng.normal(scale=scale, size=dim) for _ in range(n)]
+            for _ in range(int(rng.integers(0, n // 2 + 1))):
+                models[int(rng.integers(n))] = models[int(rng.integers(n))].copy()
+            got = np.array(krum_score(models, f))
+            want = np.array(_delete_per_row_krum_score(models, f))
+            assert got.tobytes() == want.tobytes(), (dim, trial, n, f)
+
+    def test_large_pools_sum_pairwise(self):
+        rng = np.random.default_rng(20)
+        models = [rng.normal(size=650) for _ in range(20)]
+        got = np.array(krum_score(models, 0))
+        assert got.tobytes() == np.array(_delete_per_row_krum_score(models, 0)).tobytes()
+
+    def test_non_finite_distances_match(self):
+        # Node 0 has two finite distances and two NaN ones, so its three
+        # nearest others include a NaN: its score is NaN, never inf.
+        nan = np.array([np.nan, 0.0])
+        models = [np.zeros(2), np.array([1.0, 0.0]), np.array([0.0, 1.0]), nan, nan]
+        with np.errstate(invalid="ignore"):
+            got = np.array(krum_score(models, 0))
+            want = np.array(_delete_per_row_krum_score(models, 0))
+        assert got.tobytes() == want.tobytes()
+
+
 class TestCoordinateMedian:
     def test_odd_count_drops_outlier(self):
         out = coordinate_median([np.array([1.0]), np.array([2.0]), np.array([100.0])])

@@ -26,6 +26,7 @@ from sybilsim.topology import (
     random_geometric_graph,
     validate_topology,
 )
+from sybilsim import topology
 from sybilsim.topology import _bridges
 
 
@@ -277,6 +278,90 @@ class TestCapDegreesOracle:
             cap_degrees(star, 2, seed=0)
 
 
+def _bridge_pass_cap(g, e, seed):
+    """Degree capping by its second rule: before every removal, one bridge
+    pass over the whole graph and a fresh sorted list of the non-bridge
+    edges at over-degree nodes."""
+    if e < 2:
+        raise ValueError("degree bound must be >= 2")
+    rng = np.random.default_rng(seed)
+    adj = {n: set(v) for n, v in g.adjacency().items()}
+    over = sorted(n for n in adj if len(adj[n]) > e)
+    if over and len(bfs_distances(g, over[:1])) < len(adj):
+        raise CappingFailure(
+            f"nodes {over} exceed degree {e} but the graph is not connected"
+        )
+    while over:
+        incident = {tuple(sorted((n, m))) for n in over for m in adj[n]}
+        candidates = sorted(incident - _bridges(adj))
+        if not candidates:
+            raise CappingFailure(
+                f"nodes {over} exceed degree {e} but every incident edge is a bridge"
+            )
+        a, b = candidates[rng.integers(len(candidates))]
+        adj[a].discard(b)
+        adj[b].discard(a)
+        over = sorted(n for n in adj if len(adj[n]) > e)
+    return frozenset((a, b) for a in adj for b in adj[a] if a < b)
+
+
+def _counting_bridges(monkeypatch):
+    """Count the bridge passes ``cap_degrees`` makes."""
+    calls = []
+
+    def counted(adj):
+        calls.append(1)
+        return _bridges(adj)
+
+    monkeypatch.setattr(topology, "_bridges", counted)
+    return calls
+
+
+class TestCapDegreesIncremental:
+    """``cap_degrees`` carries its candidate list across removals and reruns
+    the bridge pass only when the removed edge's endpoints share fewer than
+    two neighbours; it removes exactly what a pass per removal removes."""
+
+    def test_matches_bridge_pass_rule_on_random_graphs(self):
+        rng = np.random.default_rng(616)
+        capped = failed = 0
+        for trial in range(200):
+            n = int(rng.integers(6, 61))
+            radius = float(rng.uniform(1.3, 3.0)) / math.sqrt(n)
+            bound = int(rng.integers(2, 8))
+            g = random_geometric_graph(n, radius, seed=trial)
+            try:
+                want = _bridge_pass_cap(g, bound, seed=trial + 7)
+            except CappingFailure as exc:
+                with pytest.raises(CappingFailure) as got:
+                    cap_degrees(g, bound, seed=trial + 7)
+                assert str(got.value) == str(exc), (n, radius, bound, trial)
+                failed += 1
+                continue
+            got = cap_degrees(g, bound, seed=trial + 7)
+            assert got.edges == want, (n, radius, bound, trial)
+            capped += got.edges != g.edges
+        assert capped >= 100
+        assert failed >= 5
+
+    def test_both_paths_occur(self, monkeypatch):
+        calls = _counting_bridges(monkeypatch)
+        g = random_geometric_graph(60, 0.35, seed=3)
+        got = cap_degrees(g, 4, seed=5)
+        removals = len(g.edges) - len(got.edges)
+        reruns = len(calls) - 1
+        assert 0 < reruns < removals
+
+    def test_default_radius_skips_most_passes(self, monkeypatch):
+        sub = np.random.SeedSequence(0).generate_state(3)
+        g = random_geometric_graph(99, 0.4, int(sub[0]))
+        calls = _counting_bridges(monkeypatch)
+        got = cap_degrees(g, 7, int(sub[1]))
+        removals = len(g.edges) - len(got.edges)
+        assert removals == 1381
+        assert len(calls) < removals / 4
+
+
 class TestBfsDistances:
     def _floyd_warshall(self, g):
         nodes = sorted(g.nodes)
@@ -496,9 +581,10 @@ DEFAULT_NETWORK_SHA256 = "a2034a882bd65010b8566e71149694dc86240eb34790e9d025feab
 class TestPaperScaleNetwork:
     """Invariants and determinism of the network at 99 honest nodes."""
 
+    @pytest.mark.parametrize("radius", [0.2, 0.4])
     @pytest.mark.parametrize("phi", [0.5, 1.0, 2.0])
-    def test_invariants_and_rebuild(self, phi):
-        honest, plan, full = build_attack_network(99, 0.2, 8, phi, seed=1)
+    def test_invariants_and_rebuild(self, phi, radius):
+        honest, plan, full = build_attack_network(99, radius, 8, phi, seed=1)
         validate_topology(full)
         assert max(full.degree(n) for n in full.nodes) <= 8
         assert max(honest.degree(n) for n in honest.honest) <= 8 - math.ceil(phi)
@@ -506,7 +592,7 @@ class TestPaperScaleNetwork:
         counts = plan.edges_per_honest()
         per_node = [counts.get(n, 0) for n in sorted(honest.honest)]
         assert max(per_node) - min(per_node) <= 1
-        again = build_attack_network(99, 0.2, 8, phi, seed=1)
+        again = build_attack_network(99, radius, 8, phi, seed=1)
         assert (again[0].edges, again[1], again[2].edges) == (
             honest.edges, plan, full.edges
         )
