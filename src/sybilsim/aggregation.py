@@ -136,8 +136,6 @@ def krum_score(models: Sequence[np.ndarray], f: int) -> List[float]:
     if n < f + 3:
         raise ValueError(f"krum needs at least f + 3 = {f + 3} models, got {n}")
     stacked = np.stack(vectors)
-    # Each pair's squared distance once, then every row's n - 1 others
-    # ranked in one sort.
     upper, lower = np.triu_indices(n, 1)
     diff = stacked[upper] - stacked[lower]
     diff *= diff

@@ -5,6 +5,7 @@ reimplementation on random fixtures, Krum against brute-force distance
 enumeration, and the median variants against hand-worked examples.
 """
 
+import itertools
 import math
 import sys
 import warnings
@@ -316,22 +317,15 @@ class TestKrumMatchesReference:
     @pytest.mark.parametrize("dim", [1, 7, 170, 650])
     def test_random_pools_with_clones(self, dim):
         rng = np.random.default_rng(dim)
-        for trial in range(60):
-            n = int(rng.integers(3, 21))
-            f = 0 if trial % 2 else int(rng.integers(0, n - 2))
+        for n, f in itertools.product(range(3, 21), (0, None)):
+            f = int(rng.integers(0, n - 2)) if f is None else f
             scale = float(rng.choice([1e-3, 1.0, 1e3]))
             models = [rng.normal(scale=scale, size=dim) for _ in range(n)]
             for _ in range(int(rng.integers(0, n // 2 + 1))):
                 models[int(rng.integers(n))] = models[int(rng.integers(n))].copy()
             got = np.array(krum_score(models, f))
             want = np.array(_delete_per_row_krum_score(models, f))
-            assert got.tobytes() == want.tobytes(), (dim, trial, n, f)
-
-    def test_large_pools_sum_pairwise(self):
-        rng = np.random.default_rng(20)
-        models = [rng.normal(size=650) for _ in range(20)]
-        got = np.array(krum_score(models, 0))
-        assert got.tobytes() == np.array(_delete_per_row_krum_score(models, 0)).tobytes()
+            assert got.tobytes() == want.tobytes(), (dim, n, f)
 
     def test_non_finite_distances_match(self):
         # Node 0 has two finite distances and two NaN ones, so its three
