@@ -1,7 +1,7 @@
 """Graph construction checks: BFS against a Floyd-Warshall oracle, bridges
 against remove-and-search, degree capping against the rebuild-per-candidate
-rule, K-medoids against exhaustive search, and the attack-placement
-invariants, also at paper scale."""
+and bridge-pass-per-removal rules, K-medoids against exhaustive search, and
+the attack-placement invariants, also at paper scale."""
 
 import hashlib
 import itertools
