@@ -1,16 +1,18 @@
 """Typed run configuration, YAML loading, and validation.
 
 Every knob the simulator exposes lives here, grouped the way the engine
-consumes it.  Validation happens before any work starts and reports the
-dotted path of the offending field, so a typo in a config file fails fast
-with a usable message.
+consumes it.  The dataclass annotations are the file's only schema.
+Validation happens before any work starts and reports the dotted path of
+the offending field, so a typo in a config file fails fast with a usable
+message.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
-from typing import List, Optional
+from dataclasses import asdict, dataclass, field, is_dataclass
+from typing import List, Optional, Union, get_args, get_origin, get_type_hints
 
 AGGREGATORS = (
     "fedavg",
@@ -29,6 +31,9 @@ ATTACK_KINDS = ("label_flip", "backdoor")
 # numpy seeds must be non-negative, and the engine packs the run seed into
 # each node's signing key as a signed 64-bit integer
 SEED_LIMIT = 2 ** 63
+
+# a config class's field types, resolved from its annotations once per process
+_hints = functools.cache(get_type_hints)
 
 
 class ConfigError(ValueError):
@@ -117,12 +122,8 @@ class SimulationConfig:
     def validate(self) -> "SimulationConfig":
         for path, value in _float_settings(self):
             _require(math.isfinite(value), path, "must be finite")
-        _require(0 <= self.seed < SEED_LIMIT, "seed", "must lie in [0, 2**63)")
-        _require(
-            self.topology.seed is None or 0 <= self.topology.seed < SEED_LIMIT,
-            "topology.seed",
-            "must lie in [0, 2**63)",
-        )
+        for path, seed in (("seed", self.seed), ("topology.seed", self.topology.seed)):
+            _require(seed is None or 0 <= seed < SEED_LIMIT, path, "must lie in [0, 2**63)")
         _require(self.rounds >= 1, "rounds", "must be >= 1")
         _require(self.honest_nodes >= 2, "honest_nodes", "must be >= 2")
         _require(self.degree_bound >= 2, "degree_bound", "must be >= 2")
@@ -215,73 +216,50 @@ def _require(ok: bool, path: str, problem: str) -> None:
 
 def _float_settings(section, path: str = ""):
     """(dotted path, value) of every float field in a config and its sections."""
-    for f in fields(section):
-        value = getattr(section, f.name)
-        sub = f"{path}.{f.name}" if path else f.name
+    for name, hint in _hints(type(section)).items():
+        value = getattr(section, name)
+        sub = f"{path}.{name}" if path else name
         if is_dataclass(value):
             yield from _float_settings(value, sub)
-        elif f.type == "float":
+        elif hint is float:
             yield sub, value
-
-
-# Python types a YAML scalar may have for each field type; an int is a
-# valid float, but a bool is no number even though Python counts it an int.
-_SCALAR_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}
-
-
-def _check_type(annotation: str, value, path: str) -> None:
-    """Reject a scalar whose type does not fit its field's annotation."""
-    optional = annotation.startswith("Optional[")
-    wanted = annotation[len("Optional["):-1] if optional else annotation
-    if value is None and optional:
-        return
-    if not isinstance(value, _SCALAR_TYPES[wanted]) or (
-        isinstance(value, bool) and wanted != "bool"
-    ):
-        raise ConfigError(f"{path}: expected {wanted}, got {type(value).__name__}")
-
-
-# the nested mappings of a config file; of these only ``attack`` may be null
-_SECTIONS = {
-    "topology": TopologyConfig,
-    "data": DataConfig,
-    "train": TrainSection,
-    "attack": AttackConfig,
-    "gossip": GossipConfig,
-    "rule_params": RuleParams,
-}
 
 
 def _build(cls, obj, path: str):
     """Fill a config dataclass from a dict, rejecting unknown keys."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{path or 'config'}: expected a mapping, got {type(obj).__name__}")
-    fields = {f.name: f for f in cls.__dataclass_fields__.values()}
-    unknown = set(obj) - set(fields)
+    prefix = f"{path}." if path else ""
+    hints = _hints(cls)
+    unknown = set(obj) - set(hints)
     if unknown:
-        where = f"{path}." if path else ""
-        raise ConfigError(f"{where}{sorted(unknown)[0]}: unknown field")
-    kwargs = {}
-    for key, value in obj.items():
-        sub = f"{path}.{key}" if path else key
-        if key == "attack" and value is None:
-            kwargs[key] = None
-        elif key in _SECTIONS:
-            kwargs[key] = _build(_SECTIONS[key], value, sub)
-        elif key == "downtime":
-            if not isinstance(value, list):
-                raise ConfigError(f"{sub}: expected a list")
-            kwargs[key] = [
-                _build(DowntimeEntry, entry, f"{sub}[{i}]")
-                for i, entry in enumerate(value)
-            ]
-        else:
-            _check_type(fields[key].type, value, sub)
-            kwargs[key] = value
+        raise ConfigError(f"{prefix}{sorted(unknown)[0]}: unknown field")
+    kwargs = {key: _value(hints[key], value, prefix + key) for key, value in obj.items()}
     try:
         return cls(**kwargs)
     except TypeError as exc:
         raise ConfigError(f"{path or 'config'}: {exc}") from exc
+
+
+def _value(hint, value, path: str):
+    """Check one value against its field's annotation and build it: a
+    dataclass is a section, ``Optional[X]`` also takes null, ``List[X]``
+    holds entries, and anything else is a scalar.  An int is a valid float,
+    but a bool is no number even though Python counts it an int."""
+    if get_origin(hint) is Union:  # Optional[X]
+        if value is None:
+            return None
+        hint = get_args(hint)[0]
+    if is_dataclass(hint):
+        return _build(hint, value, path)
+    if get_origin(hint) is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list, got {type(value).__name__}")
+        return [_value(get_args(hint)[0], v, f"{path}[{i}]") for i, v in enumerate(value)]
+    wanted = (int, float) if hint is float else hint
+    if not isinstance(value, wanted) or (isinstance(value, bool) and hint is not bool):
+        raise ConfigError(f"{path}: expected {hint.__name__}, got {type(value).__name__}")
+    return value
 
 
 def config_from_dict(obj: dict) -> SimulationConfig:

@@ -55,6 +55,7 @@ from .data import (
     synth_blobs,
 )
 from .gossip import (
+    GossipPool,
     HistoryDB,
     MessageRejected,
     RoundMessage,
@@ -211,6 +212,11 @@ def _build_datasets(cfg: SimulationConfig) -> Tuple[LabeledDataset, LabeledDatas
         raise ConfigError(f"data: {exc}") from exc
     # each IDX pair takes its class count from its own labels; the model and
     # the attack are built from the training pair's
+    for path, pair in (("labels_path", train), ("test_labels_path", test)):
+        if len(pair) == 0:
+            raise ConfigError(f"data.{path}: the IDX pair holds no samples")
+    if train.n_classes < 2:
+        raise ConfigError("data.labels_path: every label is 0, but training needs 2 classes")
     for path, what, got, want in (
         ("test_labels_path", "classes", test.n_classes, train.n_classes),
         ("test_images_path", "pixels per image", test.dim, train.dim),
@@ -306,16 +312,18 @@ def _aggregate(
     kappa: float,
     state: _NodeState,
     received: Dict[int, Tuple[np.ndarray, np.ndarray]],
+    pool: GossipPool,
     sizes: Dict[int, int],
 ) -> Tuple[np.ndarray, bool]:
     """One node's aggregation under its rule.
 
     ``received`` holds each direct neighbor's inferred model and history;
-    the gossip database only adds the sybilwall family's indirect pool.
-    With no neighbor model available yet (bootstrap rounds, isolation) every
-    rule degrades to keeping the own model.  Returns (vector, degenerate
-    flag) where the flag marks a similarity score computed without a
-    baseline (single foreign history)."""
+    the node's gossip ``pool`` only adds the sybilwall family's indirect
+    histories, those of origins it inferred no model from.  With no neighbor
+    model available yet (bootstrap rounds, isolation) every rule degrades to
+    keeping the own model.  Returns (vector, degenerate flag) where the flag
+    marks a similarity score computed without a baseline (single foreign
+    history)."""
     if not received:
         return state.model.copy(), False
     own = (state.id, state.model, state.history)
@@ -346,9 +354,7 @@ def _aggregate(
     # the sybilwall family
     enhancement = name.partition("+")[2] or None
     indirect = tuple(
-        (p, rec.block.history)
-        for p, rec in sorted(state.db.records.items())
-        if p != state.id and p not in received
+        (r.block.origin, r.block.history) for r in pool.records if r.block.origin not in received
     )
     c = ContributionSet(own=own, direct=direct, indirect=indirect)
     weights, degenerate = sybilwall_weights(c, kappa=kappa)
@@ -356,7 +362,7 @@ def _aggregate(
 
 
 def _compose_outbox(
-    state: _NodeState, rnd: int, lam: float, seed: int
+    state: _NodeState, pool: GossipPool, rnd: int, lam: float, seed: int
 ) -> Dict[int, RoundMessage]:
     rng = _stream(seed, _GOSSIP, state.id, rnd)
     own = SignedHistory(
@@ -365,7 +371,7 @@ def _compose_outbox(
     picks = [None] * len(state.neighbors)
     if state.relays:
         try:
-            picks = select_gossip(filter_db(state.db, state.id), state.neighbors, lam, rng)
+            picks = select_gossip(pool, state.neighbors, lam, rng)
         except NumericFailure as exc:
             raise NumericFailure(f"node {state.id} round {rnd}: {exc}") from exc
     return {j: compose_message(own, pick) for j, pick in zip(state.neighbors, picks)}
@@ -483,12 +489,15 @@ def run_simulation(
         up = [i for i in all_ids if rnd not in offline[i]]
         active = [i for i in up if rnd - 1 not in offline[i]]
 
-        # receive and aggregate: one pass keeps one node's inferred models alive
+        # receive and aggregate: one pass keeps one node's inferred models alive;
+        # only receipt changes a database, so its pool also serves the relays
         starts: Dict[int, Model] = {}
+        pools: Dict[int, GossipPool] = {}
         rejected = degenerates = composed = 0
         for i in up:
             state = nodes[i]
             received, dropped = _receive_all(state, inboxes[i], verifier)
+            pools[i] = filter_db(state.db, i)
             rejected += dropped
             if trace:
                 for sender, (vec, _) in sorted(received.items()):
@@ -498,7 +507,7 @@ def run_simulation(
             if i not in trainers or rnd - 1 in offline[i]:
                 continue
             aggregated, degenerate = _aggregate(
-                cfg.rule_params.kappa, state, received, sizes
+                cfg.rule_params.kappa, state, received, pools[i], sizes
             )
             starts[i] = Model(aggregated, arch)
             if i in full_g.honest:
@@ -547,7 +556,7 @@ def run_simulation(
             state = nodes[i]
             if trace:
                 trained_trace[(i, rnd)] = state.model.copy()
-            outbox = _compose_outbox(state, rnd, cfg.gossip.lam, seed)
+            outbox = _compose_outbox(state, pools[i], rnd, cfg.gossip.lam, seed)
             composed += len(outbox)
             # deliver for next round, dropping mail to offline nodes
             for j, msg in outbox.items():

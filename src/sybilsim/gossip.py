@@ -60,9 +60,10 @@ class HistoryRecord:
     """One stored history: the signed block as received, and how it got here.
 
     ``distance`` counts forwarding hops: 1 for a block taken straight from
-    its origin, 0 reserved for a node's own bookkeeping entry.  The block
-    keeps the ORIGIN's signature, so the record can be forwarded onward
-    without any ability to forge it.
+    its origin, more for a relayed one.  Distance 0 would mark a node's own
+    entry, which the engine never stores: ``receive_message`` drops a relayed
+    block of the receiver's own.  The block keeps the ORIGIN's signature, so
+    the record can be forwarded onward without any ability to forge it.
     """
 
     block: SignedHistory

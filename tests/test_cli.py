@@ -11,10 +11,11 @@ import sys
 import warnings
 from dataclasses import is_dataclass
 from pathlib import Path
-from typing import get_args, get_type_hints
+from typing import Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
+import yaml
 
 import sybilsim
 from sybilsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
@@ -244,6 +245,113 @@ class TestValidate:
             + "  capacity: null\n"
         )
         assert main(["validate", "--config", str(path)]) == EXIT_OK
+
+
+# Every scalar config path and the type its error names.  Loading reads
+# these types from the dataclass annotations; this table pins them.
+SCALAR_TYPES = {
+    "seed": "int",
+    "rounds": "int",
+    "aggregator": "str",
+    "honest_nodes": "int",
+    "degree_bound": "int",
+    "adversary_epochs": "int",
+    "topology.radius": "float",
+    "topology.seed": "int",
+    "data.kind": "str",
+    "data.classes": "int",
+    "data.per_class": "int",
+    "data.test_per_class": "int",
+    "data.dim": "int",
+    "data.spread": "float",
+    "data.alpha": "float",
+    "data.images_path": "str",
+    "data.labels_path": "str",
+    "data.test_images_path": "str",
+    "data.test_labels_path": "str",
+    "train.learning_rate": "float",
+    "train.local_epochs": "int",
+    "train.batch_size": "int",
+    "attack.kind": "str",
+    "attack.phi": "float",
+    "attack.source": "int",
+    "attack.target": "int",
+    "attack.pattern_size": "int",
+    "attack.pattern_value": "float",
+    "gossip.lam": "float",
+    "gossip.capacity": "int",
+    "gossip.sybils_gossip": "bool",
+    "gossip.scheme": "str",
+    "rule_params.kappa": "float",
+    "downtime[0].node": "int",
+    "downtime[0].start": "int",
+    "downtime[0].length": "int",
+}
+
+
+def _scalar_hints(cls, prefix=""):
+    """(path, annotation) of every scalar field, opening sections and the
+    first entry of a list."""
+    for name, hint in get_type_hints(cls).items():
+        inner = [t for t in (hint, *get_args(hint)) if is_dataclass(t)]
+        if not inner:
+            yield f"{prefix}{name}", hint
+        elif get_origin(hint) is list:
+            yield from _scalar_hints(inner[0], f"{prefix}{name}[0].")
+        else:
+            yield from _scalar_hints(inner[0], f"{prefix}{name}.")
+
+
+def _config_with(tmp_path, path, value) -> str:
+    """The attack config plus one downtime entry, with ``path`` set to ``value``."""
+    raw = yaml.safe_load(ATTACK_YAML)
+    raw["downtime"] = [{"node": 1, "start": 2}]
+    *parents, leaf = re.findall(r"[^.\[\]]+", path)
+    target = raw
+    for key in parents:
+        target = target[int(key)] if key.isdigit() else target[key]
+    target[int(leaf) if leaf.isdigit() else leaf] = value
+    out = tmp_path / "typed.yaml"
+    out.write_text(yaml.safe_dump(raw))
+    return str(out)
+
+
+class TestConfigTypes:
+    def test_table_names_every_scalar_field(self):
+        hints = dict(_scalar_hints(SimulationConfig))
+        assert sorted(hints) == sorted(SCALAR_TYPES)
+        for kind in (Optional[str], Optional[int], bool):
+            assert kind in hints.values()
+
+    def test_base_config_with_downtime_validates(self, tmp_path, capsys):
+        config = _config_with(tmp_path, "seed", 11)
+        assert main(["validate", "--config", config]) == EXIT_OK
+
+    @pytest.mark.parametrize("path, kind", sorted(SCALAR_TYPES.items()))
+    def test_list_for_a_scalar_names_the_field(self, tmp_path, capsys, path, kind):
+        config = _config_with(tmp_path, path, [1])
+        assert main(["validate", "--config", config]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: {path}: expected {kind}, got list" in err
+
+    @pytest.mark.parametrize(
+        "path, problem",
+        [
+            *[
+                (name, "expected a mapping, got NoneType")
+                for name in ("topology", "data", "train", "gossip", "rule_params")
+            ],
+            ("downtime", "expected a list, got NoneType"),
+            ("downtime[0]", "expected a mapping, got NoneType"),
+        ],
+    )
+    def test_null_for_a_section_names_it(self, tmp_path, capsys, path, problem):
+        config = _config_with(tmp_path, path, None)
+        assert main(["validate", "--config", config]) == EXIT_CONFIG
+        assert f"config error: {path}: {problem}" in capsys.readouterr().err
+
+    def test_null_attack_means_no_attack(self, tmp_path):
+        assert load_config(_config_with(tmp_path, "attack", None)).attack is None
 
 
 class TestRun:
@@ -635,6 +743,30 @@ class TestIdxData:
         assert err.startswith("config error: data: ")
         paths = {name: idx_root / split / name for name in ("images", "labels")}
         assert problem.format(**paths) in err
+
+    @pytest.mark.parametrize(
+        "emptied, problem",
+        [
+            ((), "data.labels_path: every label is 0, but training needs 2 classes"),
+            (("train",), "data.labels_path: the IDX pair holds no samples"),
+            (("test",), "data.test_labels_path: the IDX pair holds no samples"),
+            (("train", "test"), "data.labels_path: the IDX pair holds no samples"),
+        ],
+        ids=["one-training-class", "empty-train", "empty-test", "both-empty"],
+    )
+    def test_training_pair_without_two_classes_is_a_config_error(
+        self, idx_root, capsys, emptied, problem
+    ):
+        if not emptied:  # 60 training images, every one labelled 0
+            images = np.random.default_rng(2).integers(0, 256, (60, 4, 4))
+            _write_idx(idx_root / "train", images, np.zeros(60))
+        for split in emptied:
+            _write_idx(idx_root / split, np.zeros((0, 4, 4)), np.zeros(0))
+        config = self._config(idx_root, FLIP_ATTACK.format(source=1, target=2))
+        assert main(["validate", "--config", config]) == EXIT_OK
+        code = main(["run", "--config", config, "--out-dir", str(idx_root / "x")])
+        assert code == EXIT_CONFIG
+        assert f"config error: {problem}" in capsys.readouterr().err
 
     def test_class_past_the_blob_default_is_accepted(self, idx_root):
         # data.classes (default 10) describes blobs only

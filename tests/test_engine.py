@@ -183,6 +183,37 @@ class TestPhases:
         assert evaluated == [len(res.topology.honest)] * cfg.rounds
         assert [n for name, n in blocks if name == "compose_message"] == res.message_counts
 
+    def test_each_up_node_reads_its_database_once_per_round(self, monkeypatch):
+        """The receive pass takes each up node's gossip pool once, and both
+        aggregation and relays read that pool: evaluation splits the rounds,
+        and no read follows the last one."""
+        calls = []
+        read, evaluate = sybilsim.engine.filter_db, sybilsim.engine.evaluate_accuracy
+
+        def counting_read(db, self_id):
+            calls.append(self_id)
+            return read(db, self_id)
+
+        def marking_evaluate(*args):
+            calls.append("evaluate")
+            return evaluate(*args)
+
+        monkeypatch.setattr(sybilsim.engine, "filter_db", counting_read)
+        monkeypatch.setattr(sybilsim.engine, "evaluate_accuracy", marking_evaluate)
+        cfg = _attack_cfg(rounds=5, downtime=[DowntimeEntry(node=3, start=2, length=1)])
+        res = run_simulation(cfg)
+        assert res.topology.sybils and calls[-1] == "evaluate"
+        reads = [
+            list(run)
+            for evaluating, run in itertools.groupby(calls, key=lambda c: c == "evaluate")
+            if not evaluating
+        ]
+        up = [
+            [i for i in sorted(res.topology.nodes) if (i, rnd) != (3, 2)]
+            for rnd in range(cfg.rounds)
+        ]
+        assert reads == up
+
 
 def direct_counts(res):
     """Neighbor models each honest node aggregated, keyed (node, round), for
