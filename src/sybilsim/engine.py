@@ -46,6 +46,7 @@ from .data import (
     LabeledDataset,
     LabelFlip,
     PartitionSpec,
+    UndefinedScore,
     attack_score,
     attack_segment,
     corner_block_pattern,
@@ -150,8 +151,9 @@ class RunResult:
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "metrics.csv"), "w", newline="") as fh:
             fh.write(self.metrics_csv())
+        manifest = self.manifest()  # before the file opens: no empty manifest
         with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-            json.dump(self.manifest(), fh, indent=2, sort_keys=True)
+            json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
@@ -165,7 +167,7 @@ def _git_describe() -> str:
             cwd=os.path.dirname(os.path.abspath(__file__)),
         )
         return out.stdout.strip() if out.returncode == 0 else "unknown"
-    except OSError:
+    except (OSError, subprocess.TimeoutExpired):
         return "unknown"
 
 
@@ -215,6 +217,8 @@ def _build_datasets(cfg: SimulationConfig) -> Tuple[LabeledDataset, LabeledDatas
     for path, pair in (("labels_path", train), ("test_labels_path", test)):
         if len(pair) == 0:
             raise ConfigError(f"data.{path}: the IDX pair holds no samples")
+    if train.dim == 0:
+        raise ConfigError("data.images_path: the IDX images have no pixels")
     if train.n_classes < 2:
         raise ConfigError("data.labels_path: every label is 0, but training needs 2 classes")
     for path, what, got, want in (
@@ -303,8 +307,8 @@ def _receive_all(
             rejected += 1
             continue
         if res.trained_model is not None:
-            received[sender] = (res.trained_model, res.block.history)
-        state.prev_known[sender] = res.block
+            received[sender] = (res.trained_model, msg.own.history)
+        state.prev_known[sender] = msg.own
     return received, rejected
 
 
@@ -365,9 +369,7 @@ def _compose_outbox(
     state: _NodeState, pool: GossipPool, rnd: int, lam: float, seed: int
 ) -> Dict[int, RoundMessage]:
     rng = _stream(seed, _GOSSIP, state.id, rnd)
-    own = SignedHistory(
-        state.history, state.id, rnd, state.signer.sign(state.history, rnd)
-    )
+    own = state.signer.sign(state.history, rnd)
     picks = [None] * len(state.neighbors)
     if state.relays:
         try:
@@ -408,7 +410,10 @@ def run_simulation(
     train_set, test_set = _build_datasets(cfg)
     arch = Architecture(input_dim=train_set.dim, n_classes=train_set.n_classes)
     spec = _build_attack_spec(cfg, train_set)
-    segment = None if spec is None else attack_segment(test_set, spec)
+    try:
+        segment = None if spec is None else attack_segment(test_set, spec)
+    except UndefinedScore as exc:  # a label flip on idx test labels
+        raise ConfigError(f"data.test_labels_path: {exc}") from exc
 
     parts = dirichlet_partition(
         train_set,

@@ -1,12 +1,14 @@
-"""Signed model-history gossip: databases, selection, signatures, inference.
+"""Signed model-history gossip: records, databases, selection, signatures, inference.
 
-Each node keeps one history record per known origin and forwards a
-randomly selected record to every neighbor each round, preferring records
-gathered close by.  A node gathers its candidates and their weights once
-a round and masks them per neighbor; each pick draws exactly what
-``Generator.choice`` with probabilities would.  Receivers recover a
-sender's trained model as the difference of its two most recent
-histories, which removes the need to transmit raw models at all.
+Every gossip record is built here.  ``Signer.sign`` makes a node's signed
+block, a message relays one record of the sender's store as stored, and
+``receive_message`` files the sender's block at distance 1 and the relayed
+one a hop further.  Each node keeps one record per known origin and relays
+one to every neighbor each round, preferring records gathered close by.  A
+node gathers its candidates and their weights once a round and masks them
+per neighbor; each pick draws exactly what ``Generator.choice`` with
+probabilities would.  Receivers recover a sender's trained model as the
+difference of its two most recent histories, so raw models never travel.
 
 A signature covers, little-endian: u32 origin | u32 round | u32 vec_len |
 f64 * vec_len, the raw history values last.
@@ -60,10 +62,10 @@ class HistoryRecord:
     """One stored history: the signed block as received, and how it got here.
 
     ``distance`` counts forwarding hops: 1 for a block taken straight from
-    its origin, more for a relayed one.  Distance 0 would mark a node's own
-    entry, which the engine never stores: ``receive_message`` drops a relayed
+    its origin, one more than its forwarder's record for a relayed one.  A
+    node's own entry is never stored: ``receive_message`` drops a relayed
     block of the receiver's own.  The block keeps the ORIGIN's signature, so
-    the record can be forwarded onward without any ability to forge it.
+    the record can be relayed as stored without any ability to forge it.
     """
 
     block: SignedHistory
@@ -94,19 +96,12 @@ class HistoryDB:
 class RoundMessage:
     """What one node sends one neighbor in one round.
 
-    ``gossiped`` relays some third node's signed history unchanged;
-    ``gossip_distance`` is the relayed record's stored distance plus one.
+    ``own`` is the sender's freshly signed history; ``relayed`` is one record
+    of the sender's store as stored, and the receiver counts the extra hop.
     """
 
     own: SignedHistory
-    gossiped: Optional[SignedHistory] = None
-    gossip_distance: Optional[int] = None
-
-    def __post_init__(self):
-        if (self.gossiped is None) != (self.gossip_distance is None):
-            raise ValueError("gossiped block and distance must appear together")
-        if self.gossip_distance is not None and self.gossip_distance < 2:
-            raise ValueError("a forwarded record has travelled at least two hops")
+    relayed: Optional[HistoryRecord] = None
 
 
 # --- signatures ------------------------------------------------------------
@@ -169,16 +164,17 @@ def get_scheme(name: str):
 
 @dataclass(frozen=True)
 class Signer:
-    """A node's signing identity."""
+    """A node's signing identity: it turns a history into the node's block."""
 
     scheme: object
     node_id: int
     private: object
 
-    def sign(self, history: np.ndarray, round_no: int) -> bytes:
-        return self.scheme.sign(
+    def sign(self, history: np.ndarray, round_no: int) -> SignedHistory:
+        signature = self.scheme.sign(
             self.private, sign_payload(history, round_no, self.node_id)
         )
+        return SignedHistory(history, self.node_id, round_no, signature)
 
 
 @dataclass(frozen=True)
@@ -322,19 +318,15 @@ def compose_message(
     """Build the outgoing message: own signed history plus one relayed record.
 
     The sender signs its history once per round and every neighbor gets the
-    same ``own`` block.  The relayed block is forwarded as received, with
-    the originator's signature; only the distance counter changes,
-    incremented by one for this extra hop.  Raw trained models are never
-    included.
+    same ``own`` block.  The selected record goes out as stored, its block
+    with the originator's signature; the receiver adds the extra hop.  Raw
+    trained models are never included.
     """
-    if selected is None:
-        return RoundMessage(own=own)
-    return RoundMessage(own=own, gossiped=selected.block, gossip_distance=selected.distance + 1)
+    return RoundMessage(own, selected)
 
 
 @dataclass(frozen=True)
 class ReceiveResult:
-    block: SignedHistory  # the sender's own block
     trained_model: Optional[np.ndarray]
     db_changes: Dict[str, Optional[str]]
 
@@ -364,18 +356,20 @@ def receive_message(
     Both blocks must verify under their origins' public keys or the whole
     message is dropped, as is a message whose own block is older than the
     last one we accepted from the sender (``prev_known``).  The sender's
-    fresh block enters the database at distance 1; the relayed block at its
-    carried distance.
+    fresh block enters the database at distance 1 and the relayed block one
+    hop further than the sender's record of it, both forwarded by the
+    sender; a relayed block of our own is dropped.
     """
     if not keys.check(msg.own):
         raise MessageRejected(
             f"own block from node {msg.own.origin} round {msg.own.round} "
             "fails verification"
         )
-    if msg.gossiped is not None and not keys.check(msg.gossiped):
+    relayed = msg.relayed
+    if relayed is not None and not keys.check(relayed.block):
         raise MessageRejected(
-            f"gossiped block from node {msg.gossiped.origin} "
-            f"round {msg.gossiped.round} fails verification"
+            f"gossiped block from node {relayed.block.origin} "
+            f"round {relayed.block.round} fails verification"
         )
     if prev_known is not None and msg.own.round < prev_known.round:
         raise MessageRejected(
@@ -383,8 +377,8 @@ def receive_message(
         )
     sender = msg.own.origin
     changes = {"own": update_db(db, HistoryRecord(msg.own, 1, sender)), "gossip": None}
-    if msg.gossiped is not None and msg.gossiped.origin != self_id:
+    if relayed is not None and relayed.block.origin != self_id:
         changes["gossip"] = update_db(
-            db, HistoryRecord(msg.gossiped, msg.gossip_distance, sender)
+            db, HistoryRecord(relayed.block, relayed.distance + 1, sender)
         )
-    return ReceiveResult(msg.own, infer_trained(prev_known, msg.own), changes)
+    return ReceiveResult(infer_trained(prev_known, msg.own), changes)

@@ -768,6 +768,35 @@ class TestIdxData:
         assert code == EXIT_CONFIG
         assert f"config error: {problem}" in capsys.readouterr().err
 
+    def test_images_without_pixels_are_a_config_error(self, idx_root, capsys):
+        labels = np.repeat(np.arange(3), 20)
+        for split in ("train", "test"):  # 60 images of 0x4 pixels in both pairs
+            _write_idx(idx_root / split, np.zeros((60, 0, 4)), labels)
+        config = self._config(idx_root, FLIP_ATTACK.format(source=1, target=2))
+        assert main(["validate", "--config", config]) == EXIT_OK
+        code = main(["run", "--config", config, "--out-dir", str(idx_root / "x")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: data.images_path: the IDX images have no pixels" in err
+
+    def test_flip_classes_missing_from_the_test_pair_are_a_config_error(
+        self, idx_root, capsys
+    ):
+        rng = np.random.default_rng(3)
+        for split, labels in (
+            ("train", np.repeat(np.arange(4), 12)),
+            ("test", np.repeat([0, 3], 5)),  # 4 classes, none of them 1 or 2
+        ):
+            _write_idx(idx_root / split, rng.integers(0, 256, (len(labels), 4, 4)), labels)
+        config = self._config(idx_root, FLIP_ATTACK.format(source=1, target=2))
+        assert main(["validate", "--config", config]) == EXIT_OK
+        code = main(["run", "--config", config, "--out-dir", str(idx_root / "x")])
+        assert code == EXIT_CONFIG
+        assert (
+            "config error: data.test_labels_path: test set has no samples of classes 1 or 2"
+            in capsys.readouterr().err
+        )
+
     def test_class_past_the_blob_default_is_accepted(self, idx_root):
         # data.classes (default 10) describes blobs only
         config = self._config(idx_root, FLIP_ATTACK.format(source=1, target=11))

@@ -50,6 +50,7 @@ from sybilsim.gossip import (
     compose_message,
 )
 from sybilsim.numerics import NumericFailure
+from test_golden import label_flip
 
 
 def _cfg(**over):
@@ -215,6 +216,29 @@ class TestPhases:
         assert reads == up
 
 
+class TestGossipStore:
+    def test_every_store_counts_hops_on_receipt(self, monkeypatch):
+        """On the golden label-flip run (relaying Sybils, a node offline for
+        three rounds) every store read at each round holds no record of its
+        own node, distance 1 where the origin forwarded its own block, and
+        at least 2 for every relayed one.  Only ``receive_message`` writes
+        a store."""
+        read = sybilsim.engine.filter_db
+        seen = Counter()
+
+        def checking_read(db, self_id):
+            for origin, record in db.records.items():
+                assert origin == record.block.origin != self_id
+                direct = record.forwarder == origin
+                assert (record.distance == 1) if direct else (record.distance >= 2)
+                seen[direct] += 1
+            return read(db, self_id)
+
+        monkeypatch.setattr(sybilsim.engine, "filter_db", checking_read)
+        run_simulation(label_flip())
+        assert seen[True] > 0 and seen[False] > 0
+
+
 def direct_counts(res):
     """Neighbor models each honest node aggregated, keyed (node, round), for
     the rounds it was active and received any: every inferred model it
@@ -272,7 +296,7 @@ class TestRejectedMessages:
             altered = msg.own.history.copy()
             altered[0] += 1.0
             own = SignedHistory(altered, msg.own.origin, 3, msg.own.signature)
-            return RoundMessage(own, msg.gossiped, msg.gossip_distance)
+            return RoundMessage(own, msg.relayed)
 
         res = _tampered_run(monkeypatch, forge)
         deg = len(res.topology.neighbors(0))
@@ -310,12 +334,8 @@ class TestRejectedMessages:
             dataset=None, signer=signers[3],
             neighbors=[1, 2], rule="fedavg", epochs=1, relays=True,
         )
-        good = compose_message(
-            SignedHistory(np.array([5.0]), 2, 5, signers[2].sign(np.array([5.0]), 5)), None
-        )
-        sent = compose_message(
-            SignedHistory(np.array([7.0]), 1, 5, signers[1].sign(np.array([7.0]), 5)), None
-        )
+        good = compose_message(signers[2].sign(np.array([5.0]), 5), None)
+        sent = compose_message(signers[1].sign(np.array([7.0]), 5), None)
         forged = RoundMessage(SignedHistory(np.array([9.0]), 1, 5, sent.own.signature))
         inferred, rejected = _receive_all(state, [forged, good], verifier)
         assert rejected == 1
@@ -359,7 +379,7 @@ class TestEd25519Runs:
             altered = msg.own.history.copy()
             altered[0] += 1.0
             own = SignedHistory(altered, msg.own.origin, 3, msg.own.signature)
-            return RoundMessage(own, msg.gossiped, msg.gossip_distance)
+            return RoundMessage(own, msg.relayed)
 
         ed25519 = GossipConfig(lam=0.8, scheme="ed25519")
         res = _tampered_run(monkeypatch, forge, gossip=ed25519)
@@ -631,6 +651,27 @@ class TestOutputs:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["sybil_count"] == len(res.topology.sybils)
         assert manifest["scenario"] in ("dense", "sparse", "distributed")
+
+    def test_git_timeout_reads_unknown(self, tmp_path, monkeypatch):
+        def hang(cmd, **kwargs):
+            raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
+
+        res = run_simulation(_cfg(rounds=1))
+        monkeypatch.setattr(subprocess, "run", hang)
+        res.write_outputs(tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["git_describe"] == "unknown"
+
+    def test_failed_manifest_leaves_no_manifest_file(self, tmp_path, monkeypatch):
+        def broken(self):
+            raise RuntimeError("manifest failed")
+
+        res = run_simulation(_cfg(rounds=1))
+        monkeypatch.setattr(sybilsim.engine.RunResult, "manifest", broken)
+        with pytest.raises(RuntimeError, match="manifest failed"):
+            res.write_outputs(tmp_path)
+        assert (tmp_path / "metrics.csv").read_text() == res.metrics_csv()
+        assert not (tmp_path / "manifest.json").exists()
 
     def test_manifest_describes_the_package_checkout(self, tmp_path, monkeypatch):
         package_dir = Path(sybilsim.engine.__file__).resolve().parent

@@ -43,9 +43,8 @@ def _signer(scheme, node_id):
 
 
 def _own(signer, values, round_no):
-    """The sender's own block, signed the way the engine signs it."""
-    history = np.array(values, dtype=np.float64)
-    return SignedHistory(history, signer.node_id, round_no, signer.sign(history, round_no))
+    """A node's block, signed the way the engine signs it."""
+    return signer.sign(np.array(values, dtype=np.float64), round_no)
 
 
 BOTH_SCHEMES = pytest.mark.parametrize(
@@ -73,13 +72,9 @@ class TestWireFormat:
         relayed one, fails verification."""
         scheme = Blake2Scheme()
         signers, keys = _network(scheme, [1, 6])
-        relayed_hist = np.array([8.0, -1.0])
-        relayed_sig = signers[6].sign(relayed_hist, 3)
-        record = HistoryRecord(
-            SignedHistory(relayed_hist, 6, 3, relayed_sig), 2, forwarder=4
-        )
+        record = HistoryRecord(_own(signers[6], [8.0, -1.0], 3), 2, forwarder=4)
         msg = compose_message(_own(signers[1], [0.5], 4), record)
-        for block in (msg.own, msg.gossiped):
+        for block in (msg.own, msg.relayed.block):
             assert keys.check(block)
             raw = block.history.tobytes()
             for bit in range(8 * len(raw)):
@@ -101,13 +96,9 @@ class TestWireFormat:
         another known node, fails verification, in the own block or the
         relayed one."""
         signers, keys = _network(scheme, [1, 4, 6])
-        relayed_hist = np.array([8.0, -1.0])
-        record = HistoryRecord(
-            SignedHistory(relayed_hist, 6, 3, signers[6].sign(relayed_hist, 3)),
-            2, forwarder=4,
-        )
+        record = HistoryRecord(_own(signers[6], [8.0, -1.0], 3), 2, forwarder=4)
         msg = compose_message(_own(signers[1], [0.5], 4), record)
-        for block in (msg.own, msg.gossiped):
+        for block in (msg.own, msg.relayed.block):
             assert keys.check(block)
             for bit in range(8 * len(block.signature)):
                 corrupt = bytearray(block.signature)
@@ -408,36 +399,43 @@ class TestUpdateDb:
             HistoryDB(capacity=0)
 
 
+class TestSigner:
+    @BOTH_SCHEMES
+    def test_sign_returns_a_block_that_verifies(self, scheme):
+        signers, keys = _network(scheme, [3, 5])
+        history = np.array([1.0, -2.5, 0.125])
+        block = signers[3].sign(history, 6)
+        assert isinstance(block, SignedHistory)
+        assert (block.origin, block.round) == (3, 6)
+        assert np.array_equal(block.history, history)
+        assert keys.check(block)
+        assert not keys.check(SignedHistory(history, 5, 6, block.signature))
+
+
 class TestComposeMessage:
     def test_own_block_verifies(self):
         scheme = Blake2Scheme()
         signers, keys = _network(scheme, [3])
         msg = compose_message(_own(signers[3], [1.0, 2.0], 6), None)
-        assert msg.gossiped is None
+        assert msg.relayed is None
         assert keys.check(msg.own)
         assert msg.own.origin == 3 and msg.own.round == 6
 
     def test_relay_keeps_origin_signature_and_bumps_distance(self):
+        """The sender relays its stored record; the receiver adds the hop
+        and names the sender as forwarder."""
         scheme = Blake2Scheme()
-        signers, keys = _network(scheme, [1, 8])
-        hist = np.array([4.0])
-        sig = signers[8].sign(hist, 2)
-        record = HistoryRecord(SignedHistory(hist, 8, 2, sig), distance=3, forwarder=5)
+        signers, keys = _network(scheme, [1, 2, 8])
+        relayed = _own(signers[8], [4.0], 2)
+        record = HistoryRecord(relayed, distance=3, forwarder=5)
         msg = compose_message(_own(signers[1], [0.0], 6), record)
-        assert msg.gossiped.signature == sig
-        assert msg.gossip_distance == 4
-        assert keys.check(msg.gossiped)
-
-    def test_message_invariants(self):
-        own = SignedHistory(np.array([1.0]), 1, 1, b"s")
-        with pytest.raises(ValueError):
-            RoundMessage(own=own, gossiped=None, gossip_distance=2)
-        with pytest.raises(ValueError, match="two hops"):
-            RoundMessage(
-                own=own,
-                gossiped=SignedHistory(np.array([2.0]), 2, 1, b"t"),
-                gossip_distance=1,
-            )
+        assert msg.relayed is record
+        db = HistoryDB()
+        receive_message(msg, db, None, keys, self_id=2)
+        stored = db.records[8]
+        assert stored.block is relayed and keys.check(stored.block)
+        assert (stored.distance, stored.forwarder) == (4, 1)
+        assert record.distance == 3 and record.forwarder == 5
 
 
 def _block(round_no, values, origin=1):
@@ -465,15 +463,10 @@ class TestReceiveMessage:
 
     def test_happy_path_stores_both_blocks(self):
         _, signers, keys = self._setup()
-        relayed_hist = np.array([8.0])
-        record = HistoryRecord(
-            SignedHistory(relayed_hist, 6, 3, signers[6].sign(relayed_hist, 3)),
-            distance=2, forwarder=7,
-        )
+        record = HistoryRecord(_own(signers[6], [8.0], 3), distance=2, forwarder=7)
         msg = compose_message(_own(signers[1], [3.0], 5), record)
         db = HistoryDB()
         res = receive_message(msg, db, _block(4, [1.0]), keys, self_id=2)
-        assert res.block.origin == 1 and res.block.round == 5
         assert np.array_equal(res.trained_model, [2.0])
         assert res.db_changes == {"own": "inserted", "gossip": "inserted"}
         assert db.records[1].distance == 1 and db.records[1].forwarder == 1
@@ -525,11 +518,7 @@ class TestReceiveMessage:
 
     def test_gossip_about_self_ignored(self):
         _, signers, keys = self._setup()
-        my_hist = np.array([5.0])
-        about_me = HistoryRecord(
-            SignedHistory(my_hist, 2, 3, signers[2].sign(my_hist, 3)),
-            distance=2, forwarder=7,
-        )
+        about_me = HistoryRecord(_own(signers[2], [5.0], 3), distance=2, forwarder=7)
         msg = compose_message(_own(signers[1], [3.0], 5), about_me)
         db = HistoryDB()
         res = receive_message(msg, db, None, keys, self_id=2)
