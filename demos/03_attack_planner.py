@@ -32,8 +32,10 @@ def main():
         degrees = [len(full_g.neighbors(i)) for i in sorted(full_g.nodes)]
         assert max(degrees) <= DEGREE_BOUND
 
-    print("\nedge totals are ceil(honest * phi); the placement keeps per-node")
-    print("counts within one of each other and never exceeds the degree bound.")
+    print("\nedge totals are ceil(honest * phi): every honest node takes")
+    print("total // honest of them and the k-medoids the remainder, so counts")
+    print("stay within one of each other; capping the honest graph at the bound")
+    print("minus ceil(total / honest) leaves every node room for its edges.")
     print(f"max observed degree: {max(degrees)}")
 
     other = 60

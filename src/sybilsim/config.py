@@ -14,6 +14,8 @@ import math
 from dataclasses import asdict, dataclass, field, is_dataclass
 from typing import List, Optional, Union, get_args, get_origin, get_type_hints
 
+from .topology import attack_edge_counts
+
 AGGREGATORS = (
     "fedavg",
     "foolsgold",
@@ -166,7 +168,7 @@ class SimulationConfig:
             a = self.attack
             _require(a.kind in ATTACK_KINDS, "attack.kind", "must be label_flip or backdoor")
             _require(a.phi > 0, "attack.phi", "must be > 0")
-            headroom = math.ceil(a.phi - 1e-9)  # attack edges per honest node
+            headroom = attack_edge_counts(self.honest_nodes, a.phi)[1]
             _require(
                 self.degree_bound - headroom >= 2,
                 "degree_bound",
@@ -182,6 +184,8 @@ class SimulationConfig:
             _require(0 <= a.target < limit, "attack.target", "class out of range")
             if a.kind == "backdoor":
                 _require(a.pattern_size >= 1, "attack.pattern_size", "must be >= 1")
+                fits = d.kind == "idx" or a.pattern_size <= d.dim  # idx: checked on loading
+                _require(fits, "attack.pattern_size", "must be <= data.dim")
         g = self.gossip
         _require(g.lam > 0, "gossip.lam", "must be > 0")
         _require(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import ClassVar, Sequence, Union
+from typing import ClassVar, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -28,6 +28,7 @@ class LabeledDataset:
     features: np.ndarray
     labels: np.ndarray
     n_classes: int
+    image_shape: Optional[Tuple[int, int]] = None  # (rows, cols) of IDX images
 
     def __post_init__(self):
         features = np.asarray(self.features, dtype=np.float64)
@@ -54,7 +55,9 @@ class LabeledDataset:
 
     def subset(self, indices) -> "LabeledDataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return LabeledDataset(self.features[idx], self.labels[idx], self.n_classes)
+        return LabeledDataset(
+            self.features[idx], self.labels[idx], self.n_classes, self.image_shape
+        )
 
 
 @dataclass(frozen=True)
@@ -179,7 +182,7 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
             f"{n_labels} in {labels_path}"
         )
     n_classes = int(labels.max()) + 1 if n else 1
-    return LabeledDataset(features, labels, n_classes)
+    return LabeledDataset(features, labels, n_classes, (rows, cols))
 
 
 def _largest_remainder(fractions: np.ndarray, total: int) -> np.ndarray:

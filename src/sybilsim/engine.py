@@ -78,7 +78,13 @@ from .numerics import (
     init_model,
     train_sgd,
 )
-from .topology import SSPPlan, Topology, build_attack_network
+from .topology import (
+    CappingFailure,
+    GenerationFailure,
+    SSPPlan,
+    Topology,
+    build_attack_network,
+)
 
 HISTORY_GRID = 2.0 ** 30
 
@@ -245,14 +251,16 @@ def _build_attack_spec(cfg: SimulationConfig, train_set: LabeledDataset):
             )
     if a.kind == "label_flip":
         return LabelFlip(a.source, a.target)
-    dim = train_set.dim
     if cfg.data.kind == "idx":
-        width = int(round(math.sqrt(dim)))
-        pattern = corner_block_pattern(width, size=a.pattern_size, value=a.pattern_value)
-    else:
-        pattern = tuple(
-            (i, a.pattern_value) for i in range(min(a.pattern_size, dim))
-        )
+        rows, cols = train_set.image_shape
+        if a.pattern_size > min(rows, cols):
+            raise ConfigError(
+                f"attack.pattern_size: a {a.pattern_size}x{a.pattern_size} trigger "
+                f"does not fit {rows}x{cols} images"
+            )
+        pattern = corner_block_pattern(cols, size=a.pattern_size, value=a.pattern_value)
+    else:  # validate keeps the trigger within data.dim
+        pattern = tuple((i, a.pattern_value) for i in range(a.pattern_size))
     return Backdoor(pattern, a.target)
 
 
@@ -383,12 +391,19 @@ def build_network(cfg: SimulationConfig) -> Tuple[Optional[SSPPlan], Topology]:
     """The attack plan (None without an attack) and the full network of a run.
 
     The graph comes from ``topology.seed`` when set, else from the run seed.
+    A radius too small for a connected graph, or a degree bound that capping
+    cannot reach, is a ``ConfigError`` naming the setting.
     """
     phi = cfg.attack.phi if cfg.attack is not None else None
     topo_seed = cfg.topology.seed if cfg.topology.seed is not None else cfg.seed
-    _, plan, full_g = build_attack_network(
-        cfg.honest_nodes, cfg.topology.radius, cfg.degree_bound, phi, topo_seed
-    )
+    try:
+        _, plan, full_g = build_attack_network(
+            cfg.honest_nodes, cfg.topology.radius, cfg.degree_bound, phi, topo_seed
+        )
+    except GenerationFailure as exc:
+        raise ConfigError(f"topology.radius: {exc}") from exc
+    except CappingFailure as exc:
+        raise ConfigError(f"degree_bound: {exc}") from exc
     return plan, full_g
 
 

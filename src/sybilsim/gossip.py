@@ -349,16 +349,20 @@ def receive_message(
     db: HistoryDB,
     prev_known: Optional[SignedHistory],
     keys: Verifier,
-    self_id: Optional[int] = None,
+    self_id: int,
 ) -> ReceiveResult:
-    """Verify, store, and decode one incoming message.
+    """Verify, store, and decode one incoming message at node ``self_id``.
 
     Both blocks must verify under their origins' public keys or the whole
     message is dropped, as is a message whose own block is older than the
     last one we accepted from the sender (``prev_known``).  The sender's
     fresh block enters the database at distance 1 and the relayed block one
     hop further than the sender's record of it, both forwarded by the
-    sender; a relayed block of our own is dropped.
+    sender; a relayed block of our own is dropped.  That drop guards the
+    trust boundary: the engine's senders never relay a node its own block
+    (``GossipPool.eligible`` filters it first), but a receiver cannot rely
+    on its senders for that.  So ``self_id`` is required: a default would
+    silently switch the guard off.
     """
     if not keys.check(msg.own):
         raise MessageRejected(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
@@ -29,10 +30,6 @@ class GenerationFailure(RuntimeError):
 
 class CappingFailure(RuntimeError):
     """Raised when no edge can be removed without disconnecting the graph."""
-
-
-class PlanningFailure(RuntimeError):
-    """Raised when attack edges cannot be placed within the degree bound."""
 
 
 Edge = Tuple[int, int]
@@ -312,11 +309,11 @@ def kmedoids(dist: np.ndarray, k: int, seed: int) -> list[int]:
     return sorted(medoids)
 
 
-def classify_scenario(phi: float, epsilon: float = SPARSE_EPSILON) -> str:
-    """Label an attack density: dense (phi >= 2), sparse (phi <= epsilon), else distributed."""
+def classify_scenario(phi: float) -> str:
+    """Label phi: dense from 2 up, sparse up to SPARSE_EPSILON, else distributed."""
     if phi >= 2:
         return "dense"
-    if phi <= epsilon:
+    if phi <= SPARSE_EPSILON:
         return "sparse"
     return "distributed"
 
@@ -348,28 +345,39 @@ class SSPPlan:
         }
 
 
-def plan_ssp_attack(g: Topology, phi: float, seed: int) -> SSPPlan:
-    """Place ceil(|N| * phi) attack edges, spread as evenly as possible.
+def attack_edge_counts(n: int, phi: float) -> Tuple[int, int]:
+    """(total, per-node maximum) attack edges on ``n`` honest nodes at ``phi``.
 
-    Every honest node receives floor(phi) base edges; the remainder goes to
-    the K-medoids of the honest graph's hop-distance matrix, which spreads
-    the extra edges as far apart as hop distance allows.  Edge endpoints are
-    then dealt onto the minimum number of Sybils such that no Sybil exceeds
-    the degree bound or connects twice to the same honest node.
+    The total is ceil(n * phi); every node takes total // n edges and the
+    K-medoids take the remainder total % n, so no node takes more than
+    ceil(total / n).  The float guard keeps 50 * 1.1, which rounds to
+    55.00000000000001, at 55 edges, and a product past the float range
+    counts as the largest float.
+    """
+    total = math.ceil(min(n * phi, sys.float_info.max) - 1e-9)
+    return total, -(-total // n)
+
+
+def plan_ssp_attack(g: Topology, phi: float, seed: int) -> SSPPlan:
+    """Place the ``attack_edge_counts`` edges, spread as evenly as possible.
+
+    Every honest node receives total // n edges; the remaining total % n go
+    one each to the K-medoids of the honest graph's hop-distance matrix,
+    which spreads them as far apart as hop distance allows.  Edge endpoints
+    are then dealt onto the minimum number of Sybils such that no Sybil
+    exceeds the degree bound or connects twice to the same honest node.
+    The plan does not check honest degrees: ``attach_sybils`` does.
     """
     if phi <= 0:
         raise ValueError("phi must be > 0")
     honest = sorted(g.honest)
     n = len(honest)
-    adj = g.adjacency()
     if g.honest - bfs_distances(g, honest[:1]).keys():
         raise ValueError("honest graph must be connected")
 
-    # Guard float fuzz so e.g. 10 * 0.2 still counts as exactly 2 edges.
-    total = math.ceil(n * phi - 1e-9)
-    base = math.floor(phi + 1e-9)
+    total, max_count = attack_edge_counts(n, phi)
+    base, extra = divmod(total, n)
     counts = {node: base for node in honest}
-    extra = total - base * n
     if extra > 0:
         index_of = {node: i for i, node in enumerate(honest)}
         dist = np.zeros((n, n))
@@ -380,28 +388,9 @@ def plan_ssp_attack(g: Topology, phi: float, seed: int) -> SSPPlan:
         for medoid_index in kmedoids(dist, extra, seed):
             counts[honest[medoid_index]] += 1
 
-    # Honest nodes near the degree bound cannot take all their edges; push the
-    # excess to the nearest honest node (by hops) that still has room.
-    capacity = {node: g.degree_bound - len(adj[node]) for node in honest}
-    for node in honest:
-        while counts[node] > capacity[node]:
-            hops = bfs_distances(g, {node})
-            room = [
-                m for m in honest if m != node and counts[m] < capacity[m]
-            ]
-            if not room:
-                raise PlanningFailure(
-                    f"node {node}: no honest node has room for its attack edges; "
-                    f"{total} cannot fit under degree bound {g.degree_bound}"
-                )
-            room.sort(key=lambda m: (hops.get(m, math.inf), m))
-            counts[node] -= 1
-            counts[room[0]] += 1
-
     # Deal endpoints onto Sybils: copies of one honest node sit consecutively,
     # so round-robin over max(ceil(total/bound), max count) Sybils keeps them
     # on distinct Sybils and under the degree bound.
-    max_count = max(counts.values(), default=0)
     sybil_count = max(math.ceil(total / g.degree_bound), max_count)
     first_sybil = max(honest) + 1
     items = [node for node in honest for _ in range(counts[node])]
@@ -421,15 +410,15 @@ def build_attack_network(
 ) -> Tuple[Topology, Optional[SSPPlan], Topology]:
     """Full network pipeline: generate, cap, plan the attack, attach Sybils.
 
-    The honest graph is capped at ``degree_bound`` minus the largest
-    per-node attack-edge count (ceil(phi)), so attack edges never push any
-    honest node over the bound and the even spread survives intact.
+    The honest graph is capped at ``degree_bound`` minus the per-node
+    maximum of ``attack_edge_counts``, so every honest node has room for
+    its attack edges and the even spread survives intact.
     Returns (honest graph, plan, full graph); without an attack the plan is
     None and both graphs are the same object.
     """
     if degree_bound < 2:
         raise ValueError("degree_bound must be >= 2")
-    headroom = 0 if phi is None else math.ceil(phi - 1e-9)
+    headroom = 0 if phi is None else attack_edge_counts(n, phi)[1]
     honest_cap = degree_bound - headroom
     if honest_cap < 2:
         raise ValueError(

@@ -20,7 +20,7 @@ import yaml
 import sybilsim
 from sybilsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from sybilsim.config import AttackConfig, ConfigError, SimulationConfig, load_config
-from sybilsim.engine import run_simulation
+from sybilsim.engine import _build_attack_spec, _build_datasets, run_simulation
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 README = PYPROJECT.parent / "README.md"
@@ -163,6 +163,22 @@ class TestValidate:
                 "degree_bound",
                 id="no-room-for-attack-edges",
             ),
+            pytest.param(
+                # 8 * phi rounds up to 9 edges, so some node takes 2
+                ATTACK_YAML.replace("degree_bound: 8", "degree_bound: 3").replace(
+                    "phi: 1.0", "phi: 1.0000000005"
+                ),
+                "degree_bound",
+                id="no-room-for-attack-edges-in-the-fuzz-band",
+            ),
+            pytest.param(
+                # 99 * phi overflows a float
+                ATTACK_YAML.replace("honest_nodes: 8", "honest_nodes: 99").replace(
+                    "phi: 1.0", "phi: 1.0e+307"
+                ),
+                "degree_bound",
+                id="no-room-for-attack-edges-past-the-float-range",
+            ),
         ],
     )
     @pytest.mark.parametrize("command", ["validate", "run"])
@@ -177,6 +193,50 @@ class TestValidate:
             args += ["--out-dir", str(tmp_path / "out")]
         assert main(args) == EXIT_CONFIG
         assert f"config error: {field}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            pytest.param(
+                BASE_YAML.replace("honest_nodes: 8", "honest_nodes: 40").replace(
+                    "  radius: 0.7", "  radius: 0.05"
+                ),
+                "topology.radius",
+                id="no-connected-graph",
+            ),
+            pytest.param(
+                BASE_YAML.replace("seed: 11", "seed: 1")
+                .replace("honest_nodes: 8", "honest_nodes: 12")
+                .replace("degree_bound: 8", "degree_bound: 2")
+                .replace("  radius: 0.7", "  radius: 1.4"),
+                "degree_bound",
+                id="only-bridges-left-to-cap",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["run", "sweep", "topology"])
+    def test_network_that_fails_to_build_is_a_config_error(
+        self, tmp_path, capsys, text, field, command
+    ):
+        """A config that validates but whose network cannot be generated
+        or capped exits 2 naming the setting, not 3."""
+        path = tmp_path / "unbuilt.yaml"
+        path.write_text(text)
+        assert main(["validate", "--config", str(path)]) == EXIT_OK
+        args = [command, "--config", str(path), "--out-dir", str(tmp_path / "out")]
+        if command == "sweep":
+            args += ["--axis", "aggregator", "--values", "fedavg"]
+        assert main(args) == EXIT_CONFIG
+        assert f"config error: {field}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("size, code", [(16, EXIT_OK), (17, EXIT_CONFIG)])
+    def test_blob_trigger_must_fit_data_dim(self, tmp_path, capsys, size, code):
+        path = tmp_path / "trigger.yaml"
+        path.write_text(ATTACK_YAML.replace("pattern_size: 3", f"pattern_size: {size}"))
+        assert main(["validate", "--config", str(path)]) == code
+        if code == EXIT_CONFIG:
+            err = capsys.readouterr().err
+            assert "config error: attack.pattern_size: must be <= data.dim" in err
 
     @pytest.mark.parametrize(
         "text, extra, field",
@@ -231,8 +291,7 @@ class TestValidate:
             cfg.validate()
 
     def test_infinite_phi_fails_validate_with_exit_2(self, tmp_path, capsys):
-        # checked before the attack-edge headroom, whose math.ceil(phi) would
-        # raise OverflowError, a runtime failure
+        # checked before the attack-edge headroom, so the error names phi
         path = tmp_path / "inf.yaml"
         path.write_text(ATTACK_YAML.replace("phi: 1.0", "phi: .inf"))
         assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
@@ -796,6 +855,28 @@ class TestIdxData:
             "config error: data.test_labels_path: test set has no samples of classes 1 or 2"
             in capsys.readouterr().err
         )
+
+    @pytest.mark.parametrize("shape", [(4, 6), (6, 4)], ids=["wide", "tall"])
+    def test_trigger_larger_than_the_images_is_a_config_error(self, idx_root, capsys, shape):
+        labels = np.repeat(np.arange(3), 12)
+        for split in ("train", "test"):
+            _write_idx(idx_root / split, np.zeros((36, *shape)), labels)
+        attack = BACKDOOR_ATTACK.format(target=2).replace("pattern_size: 2", "pattern_size: 5")
+        config = self._config(idx_root, attack)
+        assert main(["validate", "--config", config]) == EXIT_OK
+        code = main(["run", "--config", config, "--out-dir", str(idx_root / "x")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: attack.pattern_size: a 5x5 trigger does not fit" in err
+
+    def test_trigger_sits_in_the_corner_of_non_square_images(self, idx_root):
+        labels = np.repeat(np.arange(3), 12)
+        for split in ("train", "test"):  # 6 rows of 8 pixels
+            _write_idx(idx_root / split, np.zeros((36, 6, 8)), labels)
+        cfg = load_config(self._config(idx_root, BACKDOOR_ATTACK.format(target=2)))
+        train, _ = _build_datasets(cfg)
+        spec = _build_attack_spec(cfg, train)
+        assert [i for i, _ in spec.pattern] == [0, 1, 8, 9]
 
     def test_class_past_the_blob_default_is_accepted(self, idx_root):
         # data.classes (default 10) describes blobs only

@@ -88,6 +88,7 @@ class TestLoadIdx:
         np.testing.assert_allclose(data.features, images.reshape(5, 6) / 255.0)
         np.testing.assert_array_equal(data.labels, labels)
         assert data.n_classes == 3
+        assert data.image_shape == data.subset([0, 1]).image_shape == (2, 3)
 
     def test_bad_magic_names_offset(self, tmp_path):
         ip = tmp_path / "img"

@@ -13,7 +13,6 @@ import pytest
 
 from sybilsim.topology import (
     CappingFailure,
-    PlanningFailure,
     SSPPlan,
     Topology,
     attach_sybils,
@@ -491,12 +490,13 @@ class TestPlanSspAttack:
         assert plan.sybil_count == max(math.ceil(total / 8), max_per_honest)
 
     def test_fractional_phi_float_fuzz(self):
-        """10 nodes at phi = 0.2 must give exactly 2 edges despite float
-        representation of n * phi."""
-        g = _path_graph(10)
-        g = Topology(g.honest, frozenset(), g.edges, 8)
-        plan = plan_ssp_attack(g, 0.2, seed=0)
-        assert len(plan.attack_edges) == 2
+        """n * phi edges despite float representation: 50 * 1.1 is
+        55.00000000000001 in floats."""
+        for n, phi, want in ((10, 0.2, 2), (50, 1.1, 55)):
+            g = _path_graph(n)
+            g = Topology(g.honest, frozenset(), g.edges, 8)
+            plan = plan_ssp_attack(g, phi, seed=0)
+            assert len(plan.attack_edges) == want
 
     def test_extras_land_on_spread_nodes(self):
         """With one extra edge on a path graph, the K-medoid of the hop
@@ -506,20 +506,6 @@ class TestPlanSspAttack:
         counts = plan.edges_per_honest()
         double = [n for n, c in counts.items() if c == 2]
         assert double == [4]
-
-    def test_full_node_pushes_its_edges_to_the_nearest_node_with_room(self):
-        """On a 5-node path at bound 3, the center medoid has room for one
-        attack edge only; its extra edge goes to the nearest end with room,
-        ties broken to the lower id."""
-        g = Topology(_path_graph(5).honest, frozenset(), _path_graph(5).edges, 3)
-        plan = plan_ssp_attack(g, 1.2, seed=0)
-        assert plan.edges_per_honest() == {0: 2, 1: 1, 2: 1, 3: 1, 4: 1}
-        validate_topology(attach_sybils(g, plan))
-
-    def test_no_room_anywhere_names_the_node(self):
-        g = Topology(_path_graph(3).honest, frozenset(), _path_graph(3).edges, 2)
-        with pytest.raises(PlanningFailure, match=r"^node 1: "):
-            plan_ssp_attack(g, 1.0, seed=0)
 
     def test_deterministic(self):
         g = cap_degrees(random_geometric_graph(12, 0.5, seed=2), 5, seed=0)
@@ -582,7 +568,7 @@ class TestPaperScaleNetwork:
     """Invariants and determinism of the network at 99 honest nodes."""
 
     @pytest.mark.parametrize("radius", [0.2, 0.4])
-    @pytest.mark.parametrize("phi", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("phi", [0.5, 1.0, 1.0 + 1e-10, 2.0])
     def test_invariants_and_rebuild(self, phi, radius):
         honest, plan, full = build_attack_network(99, radius, 8, phi, seed=1)
         validate_topology(full)
