@@ -14,6 +14,7 @@ import math
 from dataclasses import asdict, dataclass, field, is_dataclass
 from typing import List, Optional, Union, get_args, get_origin, get_type_hints
 
+from .gossip import get_scheme
 from .topology import attack_edge_counts
 
 AGGREGATORS = (
@@ -191,11 +192,12 @@ class SimulationConfig:
         _require(
             g.capacity is None or g.capacity >= 1, "gossip.capacity", "must be >= 1"
         )
-        _require(
-            g.scheme in ("blake2", "ed25519"),
-            "gossip.scheme",
-            "must be blake2 or ed25519",
-        )
+        try:
+            get_scheme(g.scheme)  # an ed25519 config loads its backend here
+        except ValueError as exc:
+            raise ConfigError(f"gossip.scheme: {exc}") from None
+        except ImportError as exc:
+            raise ConfigError(f"gossip.scheme: {g.scheme} cannot load: {exc}") from None
         _require(self.rule_params.kappa > 0, "rule_params.kappa", "must be > 0")
         _require(
             self.adversary_epochs is None or self.adversary_epochs >= 1,

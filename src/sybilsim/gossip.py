@@ -11,7 +11,8 @@ probabilities would.  Receivers recover a sender's trained model as the
 difference of its two most recent histories, so raw models never travel.
 
 A signature covers, little-endian: u32 origin | u32 round | u32 vec_len |
-f64 * vec_len, the raw history values last.
+f64 * vec_len, the raw history values last.  Only ed25519 loads the
+``cryptography`` package, when an ``Ed25519Scheme`` is built.
 """
 
 from __future__ import annotations
@@ -21,17 +22,17 @@ import hmac
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
-)
-
 from .numerics import NumericFailure
+
+if TYPE_CHECKING:
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import (
+        Ed25519PrivateKey,
+        Ed25519PublicKey,
+    )
 
 
 class MessageRejected(RuntimeError):
@@ -130,13 +131,19 @@ class Blake2Scheme:
 
 
 class Ed25519Scheme:
-    """Real asymmetric signatures; the private key never leaves its node."""
+    """Real asymmetric signatures; the private key never leaves its node.
+    Building one imports ``cryptography``, as validating an ed25519 config does."""
 
     name = "ed25519"
 
+    def __init__(self):
+        from cryptography.exceptions import InvalidSignature
+        from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+        self._key_type, self._invalid = Ed25519PrivateKey, InvalidSignature
+
     def keypair(self, seed_material: bytes):
         seed = hashlib.blake2b(seed_material, digest_size=32).digest()
-        private = Ed25519PrivateKey.from_private_bytes(seed)
+        private = self._key_type.from_private_bytes(seed)
         return private, private.public_key()
 
     def sign(self, private: Ed25519PrivateKey, payload: bytes) -> bytes:
@@ -148,7 +155,7 @@ class Ed25519Scheme:
         try:
             public.verify(signature, payload)
             return True
-        except InvalidSignature:
+        except self._invalid:
             return False
 
 
@@ -156,10 +163,11 @@ SCHEMES = {"blake2": Blake2Scheme, "ed25519": Ed25519Scheme}
 
 
 def get_scheme(name: str):
+    """A fresh scheme; ImportError when its backend is not installed."""
     try:
         return SCHEMES[name]()
     except KeyError:
-        raise ValueError(f"unknown signature scheme {name!r}") from None
+        raise ValueError(f"must be one of {', '.join(SCHEMES)}, not {name!r}") from None
 
 
 @dataclass(frozen=True)

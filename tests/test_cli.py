@@ -21,6 +21,7 @@ import sybilsim
 from sybilsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from sybilsim.config import AttackConfig, ConfigError, SimulationConfig, load_config
 from sybilsim.engine import _build_attack_spec, _build_datasets, run_simulation
+from sybilsim.gossip import SCHEMES
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 README = PYPROJECT.parent / "README.md"
@@ -140,6 +141,11 @@ class TestValidate:
             ("  radius: 0.7", "  radius: wide", "topology.radius: expected float, got str"),
             ("  local_epochs: 2", "  local_epochs: true", "train.local_epochs: expected int"),
             ("  lam: 0.8", "  lam: [0.8]", "gossip.lam: expected float, got list"),
+            (
+                "  lam: 0.8",
+                "  lam: 0.8\n  scheme: rsa",
+                f"gossip.scheme: must be one of {', '.join(SCHEMES)}, not 'rsa'",
+            ),
         ],
     )
     def test_mistyped_value_names_the_field(self, tmp_path, capsys, old, new, field):
@@ -632,6 +638,16 @@ def declared_console_script(name):
     return entry.group(1)
 
 
+def source_env():
+    """The environment with the directory this process imported sybilsim
+    from first on ``PYTHONPATH``, so a child interpreter runs this checkout's
+    code rather than another install."""
+    source_root = str(Path(sybilsim.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
+    return env
+
+
 def assert_validates(cmd, env=None):
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
@@ -912,22 +928,15 @@ class TestReadmeConfig:
 class TestInstalledEntryPoint:
     def test_console_script_runs(self, config_file):
         # Start the declared entry point in a fresh interpreter the way pip's
-        # generated wrapper does, so no install is needed. The directory this
-        # process imported sybilsim from goes first on the child's path, so
-        # the child runs this checkout's code rather than another install.
+        # generated wrapper does, so no install is needed.
         module, attr = declared_console_script("sybilsim").split(":")
-        source_root = str(Path(sybilsim.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [source_root, env.get("PYTHONPATH")])
-        )
         wrapper = (
             f"import sys; from {module} import {attr}; "
             f"sys.argv[0] = 'sybilsim'; sys.exit({attr}())"
         )
         assert_validates(
             [sys.executable, "-c", wrapper, "validate", "--config", config_file],
-            env=env,
+            env=source_env(),
         )
 
     @pytest.mark.skipif(
@@ -938,3 +947,46 @@ class TestInstalledEntryPoint:
         assert_validates(
             [shutil.which("sybilsim"), "validate", "--config", config_file]
         )
+
+
+# The CLI in a child interpreter that cannot import the cryptography package.
+WITHOUT_CRYPTOGRAPHY = """\
+import sys
+
+class NoCryptography:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "cryptography":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+
+sys.meta_path.insert(0, NoCryptography())
+from sybilsim.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+class TestWithoutCryptography:
+    """Only ed25519 signing needs the cryptography package."""
+
+    @staticmethod
+    def _cli(command, config, out_dir):
+        args = [command, "--config", str(config), "--out-dir", str(out_dir)]
+        return subprocess.run(
+            [sys.executable, "-c", WITHOUT_CRYPTOGRAPHY, *args],
+            capture_output=True, text=True, timeout=120, env=source_env(),
+        )
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_blake2_config_runs(self, config_file, tmp_path, command):
+        proc = self._cli(command, config_file, tmp_path / "out")
+        assert proc.returncode == EXIT_OK, proc.stderr
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_ed25519_config_is_a_config_error(self, tmp_path, command):
+        path = tmp_path / "ed25519.yaml"
+        path.write_text(BASE_YAML.replace("  lam: 0.8", "  lam: 0.8\n  scheme: ed25519"))
+        proc = self._cli(command, path, tmp_path / "out")
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert proc.stderr.startswith("config error: gossip.scheme: ed25519 cannot load: ")
+        assert "'cryptography'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()

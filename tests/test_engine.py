@@ -10,8 +10,10 @@ lifecycle.
 import itertools
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -389,6 +391,28 @@ class TestEd25519Runs:
         assert _rounds_inferred_from(res, 0) == {1, 2, 5, 6}
         for _, sender, rnd, vec in res.inferred_trace:
             assert np.array_equal(vec, res.trained_trace[(sender, rnd)])
+
+
+class TestSignatureBackendImport:
+    def test_only_ed25519_configs_load_cryptography(self):
+        # a fresh interpreter, since this one has imported the backend already
+        child = """\
+import sys
+from sybilsim.config import config_from_dict
+from sybilsim.engine import run_simulation
+from test_golden import label_flip
+
+run_simulation(label_flip())
+assert "cryptography" not in sys.modules, "a blake2 run loaded cryptography"
+config_from_dict({"gossip": {"scheme": "ed25519"}})
+assert "cryptography" in sys.modules, "validating an ed25519 config did not load it"
+"""
+        roots = [Path(sybilsim.engine.__file__).resolve().parents[1], Path(__file__).parent]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, roots)))
+        proc = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True, timeout=120, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestNumericFailure:
