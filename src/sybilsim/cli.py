@@ -91,11 +91,16 @@ def _parse_values(axis: str, raw: str) -> List:
                 raise ConfigError(
                     f"values: {p!r} is not one of {', '.join(AGGREGATORS)}"
                 )
-        return parts
-    try:
-        return [float(p) for p in parts]
-    except ValueError:
-        raise ConfigError(f"values: {axis} values must be numbers") from None
+        values = parts
+    else:
+        try:
+            values = [float(p) for p in parts]
+        except ValueError:
+            raise ConfigError(f"values: {axis} values must be numbers") from None
+    # each value names its run directory, so a repeat would overwrite it
+    if len(set(values)) < len(values):
+        raise ConfigError(f"values: {axis} lists a value twice")
+    return values
 
 
 def _with_axis(cfg: SimulationConfig, axis: str, value) -> SimulationConfig:

@@ -11,8 +11,10 @@ probabilities would.  Receivers recover a sender's trained model as the
 difference of its two most recent histories, so raw models never travel.
 
 A signature covers, little-endian: u32 origin | u32 round | u32 vec_len |
-f64 * vec_len, the raw history values last.  Only ed25519 loads the
-``cryptography`` package, when an ``Ed25519Scheme`` is built.
+f64 * vec_len, the raw history values last.  A block never changes once
+signed, so a run's ``Verifier`` checks each block object once.  Only
+ed25519 loads the ``cryptography`` package, when an ``Ed25519Scheme`` is
+built.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import hashlib
 import hmac
 import math
 import struct
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
@@ -39,9 +42,11 @@ class MessageRejected(RuntimeError):
     """An incoming message failed verification and was discarded whole."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignedHistory:
-    """A history vector bound to its origin and round by a signature."""
+    """A history vector bound to its origin and round by a signature.  Fixed
+    once built, it owns a read-only copy of the history (no flag can make it
+    writable) and compares and hashes by identity."""
 
     history: np.ndarray
     origin: int
@@ -49,13 +54,12 @@ class SignedHistory:
     signature: bytes
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "history", np.asarray(self.history, dtype=np.float64)
-        )
-        if self.history.ndim != 1:
+        history = np.asarray(self.history, dtype=np.float64)
+        if history.ndim != 1:
             raise ValueError("history must be a 1-D vector")
         if self.round < 0:
             raise ValueError("round must be >= 0")
+        object.__setattr__(self, "history", np.frombuffer(history.tobytes()))
 
 
 @dataclass(frozen=True)
@@ -189,38 +193,26 @@ class Signer:
 class Verifier:
     """Directory of public keys for checking any node's blocks.
 
-    The engine hands one signed block to many receivers, so each distinct
-    block is verified once per run: the answer is memoized under a 32-byte
-    blake2b digest of the signed payload followed by the signature.  Whether
-    a block verifies depends only on its public key, payload and signature,
-    and here the origin in the payload fixes the public key, so a memo hit
-    returns what a fresh verification would.  A block whose history, round,
-    origin or signature changed after signing has a new digest, misses the
-    memo and is verified, and rejected, on its own.  The memo lives and dies
-    with this ``Verifier``, one per run.
+    The engine hands one block object to many receivers, so each block is
+    verified once per ``Verifier``, one per run: a block cannot change after
+    it is built, so its verdict cannot either.  The memo holds no block
+    alive, and a forged block is a new object that is verified on its own.
     """
 
     scheme: object
     public_keys: Dict[int, object]
-    _verified: Dict[bytes, bool] = field(
-        default_factory=dict, init=False, repr=False, compare=False
+    _verified: weakref.WeakKeyDictionary = field(
+        default_factory=weakref.WeakKeyDictionary, init=False, repr=False, compare=False
     )
 
     def check(self, block: SignedHistory) -> bool:
         key = self.public_keys.get(block.origin)
         if key is None:
             return False
-        payload = sign_payload(block.history, block.round, block.origin)
-        # The payload carries its own length, so payload + signature splits
-        # one way only.
-        digest = hashlib.blake2b(payload, digest_size=32)
-        digest.update(block.signature)
-        memo = digest.digest()
-        ok = self._verified.get(memo)
+        ok = self._verified.get(block)
         if ok is None:
-            ok = self._verified[memo] = self.scheme.verify(
-                key, payload, block.signature
-            )
+            payload = sign_payload(block.history, block.round, block.origin)
+            ok = self._verified[block] = self.scheme.verify(key, payload, block.signature)
         return ok
 
 

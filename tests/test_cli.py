@@ -559,21 +559,37 @@ class TestSweep:
         )
         assert code == EXIT_CONFIG
 
-    def test_rejects_non_numeric_values(self, config_file, tmp_path):
+    @pytest.mark.parametrize(
+        "axis, values",
+        [
+            ("alpha", "x,y"),
+            ("alpha", "0.5,0.50"),
+            ("phi", "1,1.0"),
+            ("aggregator", "fedavg,fedavg"),
+        ],
+        ids=["non-numeric", "repeated-alpha", "repeated-phi", "repeated-aggregator"],
+    )
+    def test_rejects_bad_values(self, attack_config_file, tmp_path, capsys, axis, values):
+        """Bad or repeated values exit 2 naming ``values`` before any run:
+        ``1`` and ``1.0`` are one value, and a repeat would overwrite its
+        own run directory."""
+        out = tmp_path / "bad"
         code = main(
             [
                 "sweep",
                 "--config",
-                config_file,
+                attack_config_file,
                 "--axis",
-                "alpha",
+                axis,
                 "--values",
-                "x,y",
+                values,
                 "--out-dir",
-                str(tmp_path / "bad"),
+                str(out),
             ]
         )
         assert code == EXIT_CONFIG
+        assert "values" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTopologyCommand:

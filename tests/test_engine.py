@@ -50,9 +50,11 @@ from sybilsim.gossip import (
     Signer,
     Verifier,
     compose_message,
+    get_scheme,
 )
 from sybilsim.numerics import NumericFailure
-from test_golden import label_flip
+from test_golden import backdoor, label_flip
+from test_gossip import _CountingScheme
 
 
 def _cfg(**over):
@@ -239,6 +241,38 @@ class TestGossipStore:
         monkeypatch.setattr(sybilsim.engine, "filter_db", checking_read)
         run_simulation(label_flip())
         assert seen[True] > 0 and seen[False] > 0
+
+
+class TestVerifierTraffic:
+    """The verifier remembers verdicts by block object, which saves work only
+    while every receiver gets the object its origin signed: one block per
+    (origin, round), verified once however far it is relayed."""
+
+    @pytest.mark.parametrize("build", [label_flip, backdoor], ids=lambda b: b.__name__)
+    def test_one_block_object_per_origin_and_round(self, monkeypatch, build):
+        schemes = []
+
+        def counting_scheme(name):
+            schemes.append(_CountingScheme(get_scheme(name)))
+            return schemes[-1]
+
+        check = Verifier.check
+        blocks = {}
+        calls = 0
+
+        def recording_check(self, block):
+            nonlocal calls
+            calls += 1
+            # holding each block keeps its id from being reused
+            blocks.setdefault((block.origin, block.round), {})[id(block)] = block
+            return check(self, block)
+
+        monkeypatch.setattr(sybilsim.engine, "get_scheme", counting_scheme)
+        monkeypatch.setattr(Verifier, "check", recording_check)
+        run_simulation(build())
+        assert calls > len(blocks) > 0
+        assert all(len(objects) == 1 for objects in blocks.values())
+        assert schemes[0].verify_calls == len(blocks)
 
 
 def direct_counts(res):

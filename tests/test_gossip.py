@@ -3,9 +3,11 @@ cover, the verifier's per-run memo, signature schemes, the relay filter,
 distance-weighted selection against the per-neighbor ``rng.choice`` draw it
 replaces, and receive rules."""
 
+import gc
 import math
 import struct
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -135,7 +137,7 @@ class _CountingScheme:
 
 @BOTH_SCHEMES
 class TestVerifierMemo:
-    """A ``Verifier`` verifies each distinct block once, and only its own
+    """A ``Verifier`` verifies each block object once, and only its own
     answers are reused."""
 
     def _setup(self, scheme):
@@ -149,9 +151,14 @@ class TestVerifierMemo:
         twin = SignedHistory(block.history.copy(), 1, 4, block.signature)
         for candidate in (block, block, twin, block):
             assert keys.check(candidate)
-        assert counting.verify_calls == 1
-        assert keys.check(_own(signers[6], [0.5, -2.0], 4))
+        # the twin is another object with equal content, verified on its own
         assert counting.verify_calls == 2
+        assert keys.check(_own(signers[6], [0.5, -2.0], 4))
+        assert counting.verify_calls == 3
+        alive = weakref.ref(block)
+        del block, candidate
+        gc.collect()
+        assert alive() is None
 
     def test_fresh_verifier_verifies_again(self, scheme):
         counting, signers, keys = self._setup(scheme)
@@ -410,6 +417,21 @@ class TestSigner:
         assert np.array_equal(block.history, history)
         assert keys.check(block)
         assert not keys.check(SignedHistory(history, 5, 6, block.signature))
+
+    def test_block_owns_its_history(self):
+        """A block keeps its own read-only copy: writing the signed array
+        afterwards changes nothing, and the block's copy cannot be written
+        or made writable."""
+        signers, keys = _network(Blake2Scheme(), [3])
+        history = np.array([1.0, -2.5, 0.125])
+        block = signers[3].sign(history, 6)
+        history[0] = 7.0
+        assert np.array_equal(block.history, [1.0, -2.5, 0.125])
+        assert keys.check(block)
+        with pytest.raises(ValueError):
+            block.history[0] = 7.0
+        with pytest.raises(ValueError):
+            block.history.flags.writeable = True
 
 
 class TestComposeMessage:
