@@ -6,6 +6,8 @@ filtering variants), coordinate-wise medians, and the trust-own-model
 variant used as the main defense.  Scores and weights are plain dicts keyed
 by node id, in [0, 1] until a caller normalizes them; the one combine step,
 ``weighted_average``, takes models and weights as aligned sequences.
+Every rule checks its vectors in one place, ``_vectors``: each must be 1-D
+and all must share one length.
 
 All functions are pure and deterministic.
 """
@@ -24,11 +26,14 @@ LOGIT_EPS = 1e-5
 SCORE_FLOOR = 64 * np.finfo(np.float64).eps
 
 
-def _as_vector(v) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1:
+def _vectors(vs) -> List[np.ndarray]:
+    """Each of ``vs`` as a float64 array, checked to be 1-D and of one length."""
+    out = [np.asarray(v, dtype=np.float64) for v in vs]
+    if any(v.ndim != 1 for v in out):
         raise ValueError("parameter vectors must be 1-D")
-    return arr
+    if len({v.size for v in out}) > 1:
+        raise ValueError("parameter vectors must share one length")
+    return out
 
 
 @dataclass(frozen=True)
@@ -45,17 +50,13 @@ class ContributionSet:
     indirect: Tuple[Tuple[int, np.ndarray], ...] = ()
 
     def __post_init__(self):
-        own = (int(self.own[0]), _as_vector(self.own[1]), _as_vector(self.own[2]))
-        direct = tuple(
-            (int(i), _as_vector(m), _as_vector(h)) for i, m, h in self.direct
-        )
-        indirect = tuple((int(i), _as_vector(h)) for i, h in self.indirect)
-        dim = own[1].size
-        vectors = [own[1], own[2]]
-        vectors += [v for _, m, h in direct for v in (m, h)]
-        vectors += [h for _, h in indirect]
-        if any(v.size != dim for v in vectors):
-            raise ValueError("all vectors in a contribution set must share one length")
+        vectors = iter(_vectors([
+            self.own[1], self.own[2], *(v for _, m, h in self.direct for v in (m, h)),
+            *(h for _, h in self.indirect),
+        ]))
+        own = (int(self.own[0]), next(vectors), next(vectors))
+        direct = tuple((int(i), next(vectors), next(vectors)) for i, _, _ in self.direct)
+        indirect = tuple((int(i), next(vectors)) for i, _ in self.indirect)
         ids = [own[0]] + [i for i, _, _ in direct] + [i for i, _ in indirect]
         if len(ids) != len(set(ids)):
             raise ValueError("node ids must be distinct across own/direct/indirect")
@@ -68,13 +69,10 @@ def fedavg(models: Sequence[Tuple[np.ndarray, int]]) -> np.ndarray:
     """Average models weighted by their sample counts."""
     if not models:
         raise ValueError("fedavg needs at least one model")
-    vectors = [_as_vector(m) for m, _ in models]
+    vectors = _vectors(m for m, _ in models)
     counts = np.array([c for _, c in models], dtype=np.float64)
     if np.any(counts <= 0):
         raise ValueError("sample counts must be positive")
-    dim = vectors[0].size
-    if any(v.size != dim for v in vectors):
-        raise ValueError("model length mismatch")
     return weighted_average(vectors, counts / counts.sum())
 
 
@@ -100,16 +98,13 @@ def foolsgold_scores(
     ids = [int(i) for i, _ in histories]
     if len(ids) != len(set(ids)):
         raise ValueError("duplicate node ids in histories")
-    vectors = [_as_vector(h) for _, h in histories]
-    if any(v.size != vectors[0].size for v in vectors):
-        raise ValueError("histories must share one length")
-    stacked = np.array(vectors)
+    stacked = np.array(_vectors(h for _, h in histories))
     norms = np.linalg.norm(stacked, axis=1)
     directed = norms != 0.0
     sim = np.divide(
         stacked @ stacked.T,
         np.outer(norms, norms),
-        out=np.zeros((len(vectors), len(vectors))),
+        out=np.zeros((len(ids), len(ids))),
         where=directed[:, None] & directed[None, :],
     )
     np.fill_diagonal(sim, 0.0)
@@ -127,49 +122,48 @@ def foolsgold_scores(
     return dict(zip(ids, scores.tolist()))
 
 
-def krum_score(models: Sequence[np.ndarray], f: int) -> List[float]:
-    """Sum of squared distances to the n - f - 2 nearest other models."""
-    vectors = [_as_vector(m) for m in models]
+def _krum(models: Sequence[np.ndarray], f: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The models stacked as rows, and each row's Krum score."""
+    vectors = _vectors(models)
     n = len(vectors)
     if f < 0:
         raise ValueError("f must be >= 0")
     if n < f + 3:
         raise ValueError(f"krum needs at least f + 3 = {f + 3} models, got {n}")
-    stacked = np.stack(vectors)
+    stacked = np.array(vectors)
     upper, lower = np.triu_indices(n, 1)
     diff = stacked[upper] - stacked[lower]
     diff *= diff
     d2 = np.empty((n, n))
     d2[upper, lower] = d2[lower, upper] = diff.sum(axis=1)
     others = np.sort(d2[~np.eye(n, dtype=bool)].reshape(n, n - 1), axis=1)
-    return others[:, : n - f - 2].sum(axis=1).tolist()
+    return stacked, others[:, : n - f - 2].sum(axis=1)
+
+
+def krum_score(models: Sequence[np.ndarray], f: int) -> List[float]:
+    """Sum of squared distances to the n - f - 2 nearest other models."""
+    return _krum(models, f)[1].tolist()
 
 
 def krum_select(models: Sequence[np.ndarray], f: int) -> np.ndarray:
     """The single model with the lowest score; ties go to the lowest index."""
-    scores = krum_score(models, f)
-    best = int(np.argmin(scores))
-    return _as_vector(models[best]).copy()
+    stacked, scores = _krum(models, f)
+    return stacked[int(np.argmin(scores))].copy()
 
 
 def multi_krum(models: Sequence[np.ndarray], f: int, m: int) -> np.ndarray:
     """Unweighted mean of the m lowest-scoring models; ties by input index."""
-    scores = krum_score(models, f)
+    stacked, scores = _krum(models, f)
     if not 1 <= m <= len(models):
         raise ValueError(f"m must lie in [1, {len(models)}]")
-    order = np.argsort(scores, kind="stable")[:m]
-    return np.stack([_as_vector(models[i]) for i in order]).mean(axis=0)
+    return stacked[np.argsort(scores, kind="stable")[:m]].mean(axis=0)
 
 
 def coordinate_median(models: Sequence[np.ndarray]) -> np.ndarray:
     """Per-coordinate median; an even count takes the mean of the two middles."""
     if not models:
         raise ValueError("median needs at least one model")
-    vectors = [_as_vector(m) for m in models]
-    dim = vectors[0].size
-    if any(v.size != dim for v in vectors):
-        raise ValueError("model length mismatch")
-    return np.median(np.stack(vectors), axis=0)
+    return np.median(np.array(_vectors(models)), axis=0)
 
 
 def sybilwall_weights(
@@ -245,7 +239,7 @@ def apply_weights(
         total = w.sum()
         if total <= 0:
             raise ValueError("weights must not all be zero")
-        stacked = np.stack(models)
+        stacked = np.array(models)
         order = np.argsort(stacked, axis=0, kind="stable")
         sorted_vals = np.take_along_axis(stacked, order, axis=0)
         sorted_w = np.cumsum(w[order], axis=0)

@@ -378,6 +378,7 @@ def _compose_outbox(
 ) -> Dict[int, RoundMessage]:
     rng = _stream(seed, _GOSSIP, state.id, rnd)
     own = state.signer.sign(state.history, rnd)
+    state.history = own.history  # the block's read-only copy; the engine only rebinds it
     picks = [None] * len(state.neighbors)
     if state.relays:
         try:

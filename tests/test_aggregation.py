@@ -655,7 +655,7 @@ def _ref_fedavg(models):
         raise ValueError("sample counts must be positive")
     dim = vectors[0].size
     if any(v.size != dim for v in vectors):
-        raise ValueError("model length mismatch")
+        raise ValueError("parameter vectors must share one length")
     weights = counts / counts.sum()
     return np.einsum("i,ij->j", weights, np.stack(vectors))
 
@@ -814,3 +814,37 @@ class TestContributionSet:
                 direct=((1, np.ones(2), np.ones(2)),),
                 indirect=((1, np.ones(2)),),
             )
+
+
+# Every entry point takes three vectors; ContributionSet puts the third in
+# an indirect history, the one slot no model check would reach.
+_ENTRY_POINTS = {
+    "fedavg": lambda vs: fedavg([(v, 1) for v in vs]),
+    "foolsgold_scores": lambda vs: foolsgold_scores(list(enumerate(vs))),
+    "krum_score": lambda vs: krum_score(vs, 0),
+    "krum_select": lambda vs: krum_select(vs, 0),
+    "multi_krum": lambda vs: multi_krum(vs, 0, 2),
+    "coordinate_median": coordinate_median,
+    "ContributionSet": lambda vs: ContributionSet(
+        own=(0, vs[0], vs[0]), direct=((1, vs[1], vs[1]),), indirect=((2, vs[2]),)
+    ),
+}
+
+
+class TestVectorChecks:
+    """One check decides what a valid aggregation input is, so every rule
+    rejects a bad vector with the same message."""
+
+    @pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.ones((1, 2)), "parameter vectors must be 1-D"),
+            (np.ones(3), "parameter vectors must share one length"),
+        ],
+        ids=["2-D", "length"],
+    )
+    def test_one_message_per_fault(self, name, bad, message):
+        with pytest.raises(ValueError) as exc:
+            _ENTRY_POINTS[name]([np.ones(2), np.zeros(2), bad])
+        assert str(exc.value) == message
