@@ -20,6 +20,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .numerics import NumericFailure
+
 LOGIT_EPS = 1e-5
 # A best raw score this close to zero is rounding in the cosines, not a
 # direction: exact clones score 1 - cos with cos a few ulps from 1.
@@ -91,7 +93,8 @@ def foolsgold_scores(
     j's; complement of the row maximum; rescale so the best score is 1, or
     score every history 0 when the best is within ``SCORE_FLOOR`` of zero;
     then a bounded logit w -> clip(kappa * (ln(w / (1 - w)) + 0.5), 0, 1)
-    with inputs clipped to [logit_eps, 1 - logit_eps].
+    with inputs clipped to [logit_eps, 1 - logit_eps].  A history whose
+    norm overflows has no usable cosine, so it raises ``NumericFailure``.
     """
     if len(histories) < 2:
         raise ValueError("need at least two histories for a similarity baseline")
@@ -100,6 +103,8 @@ def foolsgold_scores(
         raise ValueError("duplicate node ids in histories")
     stacked = np.array(_vectors(h for _, h in histories))
     norms = np.linalg.norm(stacked, axis=1)
+    if not np.all(np.isfinite(norms)):
+        raise NumericFailure("history norms overflow, so cosines cannot be scored")
     directed = norms != 0.0
     sim = np.divide(
         stacked @ stacked.T,

@@ -15,7 +15,7 @@ import sys
 from typing import List, Optional
 
 from .config import AGGREGATORS, ConfigError, SimulationConfig, load_config
-from .engine import _fmt, build_network, run_simulation
+from .engine import CSV_HEADER, _fmt, build_network, run_simulation
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -120,16 +120,13 @@ def cmd_sweep(args) -> int:
     cfg, out_dir = _resolve(args)
     values = _parse_values(args.axis, args.values)
     variants = [(v, _with_axis(cfg, args.axis, v)) for v in values]
-    summary = ["axis,value,final_round,final_mean_accuracy,final_mean_attack_score"]
+    summary = ["axis,value," + ",".join("final_" + c for c in CSV_HEADER.split(","))]
     for value, variant in variants:
         run_dir = os.path.join(out_dir, f"{args.axis}-{value}")
         result = run_simulation(variant)
         result.write_outputs(run_dir)
         last = result.metrics[-1]
-        summary.append(
-            f"{args.axis},{value},{last.round},"
-            f"{_fmt(last.mean_accuracy)},{_fmt(last.mean_attack_score)}"
-        )
+        summary.append(f"{args.axis},{value},{last.csv_line()}")
         print(
             f"{args.axis}={value}: final accuracy {_fmt(last.mean_accuracy)}, "
             f"attack score {_fmt(last.mean_attack_score)}"

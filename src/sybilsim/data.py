@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import ClassVar, Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -79,7 +79,6 @@ class LabelFlip:
 
     t1: int
     t2: int
-    kind: ClassVar[str] = "label_flip"
 
     def __post_init__(self):
         if self.t1 == self.t2:
@@ -94,7 +93,6 @@ class Backdoor:
 
     pattern: tuple
     target: int
-    kind: ClassVar[str] = "backdoor"
 
     def __post_init__(self):
         object.__setattr__(
@@ -255,7 +253,7 @@ def apply_backdoor(data: LabeledDataset, pattern, target: int) -> LabeledDataset
 
 def poison_dataset(data: LabeledDataset, spec: AttackSpec) -> LabeledDataset:
     """Apply an attack's training-data transform to a local dataset."""
-    if spec.kind == "label_flip":
+    if isinstance(spec, LabelFlip):
         return apply_label_flip(data, spec.t1, spec.t2)
     return apply_backdoor(data, spec.pattern, spec.target)
 
@@ -270,7 +268,7 @@ def attack_segment(clean_test: LabeledDataset, spec: AttackSpec) -> LabeledDatas
     """
     if len(clean_test) == 0:
         raise ValueError("clean_test is empty")
-    if spec.kind == "label_flip":
+    if isinstance(spec, LabelFlip):
         _check_class(clean_test, spec.t1, "t1")
         _check_class(clean_test, spec.t2, "t2")
         mask = (clean_test.labels == spec.t1) | (clean_test.labels == spec.t2)

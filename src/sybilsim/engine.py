@@ -527,9 +527,12 @@ def run_simulation(
             # in its recovery round a node only collects; other Sybils copy
             if i not in trainers or rnd - 1 in offline[i]:
                 continue
-            aggregated, degenerate = _aggregate(
-                cfg.rule_params.kappa, state, received, pools[i], sizes
-            )
+            try:
+                aggregated, degenerate = _aggregate(
+                    cfg.rule_params.kappa, state, received, pools[i], sizes
+                )
+            except NumericFailure as exc:
+                raise NumericFailure(f"node {i} round {rnd}: {exc}") from exc
             starts[i] = Model(aggregated, arch)
             if i in full_g.honest:
                 degenerates += degenerate

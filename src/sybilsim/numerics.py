@@ -15,7 +15,9 @@ import numpy as np
 
 
 class NumericFailure(RuntimeError):
-    """Raised when training produces a non-finite loss."""
+    """Raised when a number leaves the range a run can carry: a non-finite
+    training loss, a model off the history grid, history norms too large to
+    score, or gossip weights that all underflow."""
 
 
 @dataclass(frozen=True)

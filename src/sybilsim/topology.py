@@ -13,7 +13,7 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -112,7 +112,7 @@ def validate_topology(t: Topology) -> None:
             raise ValueError(f"node {node} has no honest neighbor")
     # Sybils must not be what holds the honest nodes together.
     honest_adj = {n: [m for m in adj[n] if m in t.honest] for n in t.honest}
-    if t.honest and len(_hops(honest_adj, [min(t.honest)])) < len(t.honest):
+    if t.honest and len(bfs_distances(honest_adj, [min(t.honest)])) < len(t.honest):
         raise ValueError("honest subgraph is not connected")
 
 
@@ -142,7 +142,7 @@ def random_geometric_graph(n: int, radius: float, seed: int) -> Topology:
             edges=edges,
             degree_bound=n,
         )
-        if len(bfs_distances(topo, [0])) == n:
+        if len(bfs_distances(topo.adjacency(), [0])) == n:
             return topo
     raise GenerationFailure(
         f"no connected geometric graph after {CONNECT_RETRY_BUDGET} attempts "
@@ -211,7 +211,7 @@ def cap_degrees(g: Topology, e: int, seed: int) -> Topology:
     rng = np.random.default_rng(seed)
     adj = {n: set(v) for n, v in g.adjacency().items()}
     over = {n for n in adj if len(adj[n]) > e}
-    if over and len(bfs_distances(g, [min(over)])) < len(adj):
+    if over and len(bfs_distances(adj, [min(over)])) < len(adj):
         raise CappingFailure(
             f"nodes {sorted(over)} exceed degree {e} but the graph is not connected"
         )
@@ -245,8 +245,8 @@ def cap_degrees(g: Topology, e: int, seed: int) -> Topology:
     return Topology(g.honest, g.sybils, edges, min(g.degree_bound, e))
 
 
-def _hops(adj: Mapping[int, Sequence[int]], sources: Iterable[int]) -> Dict[int, int]:
-    """Multi-source BFS hop counts over ``adj``; unreachable nodes are absent."""
+def bfs_distances(adj: Mapping[int, Iterable[int]], sources: Iterable[int]) -> Dict[int, int]:
+    """Multi-source shortest hop counts over ``adj``; unreachable nodes are absent."""
     sources = set(sources)
     if not sources:
         raise ValueError("sources must be non-empty")
@@ -263,11 +263,6 @@ def _hops(adj: Mapping[int, Sequence[int]], sources: Iterable[int]) -> Dict[int,
                     nxt.append(m)
         frontier = sorted(set(nxt))
     return dist
-
-
-def bfs_distances(g: Topology, sources: Iterable[int]) -> Dict[int, int]:
-    """Multi-source shortest hop counts; unreachable nodes are absent."""
-    return _hops(g.adjacency(), sources)
 
 
 def _kmedoids_cost(dist: np.ndarray, medoids: list[int]) -> float:
@@ -348,13 +343,13 @@ class SSPPlan:
 def attack_edge_counts(n: int, phi: float) -> Tuple[int, int]:
     """(total, per-node maximum) attack edges on ``n`` honest nodes at ``phi``.
 
-    The total is ceil(n * phi); every node takes total // n edges and the
-    K-medoids take the remainder total % n, so no node takes more than
-    ceil(total / n).  The float guard keeps 50 * 1.1, which rounds to
-    55.00000000000001, at 55 edges, and a product past the float range
-    counts as the largest float.
+    The total is ceil(n * phi), at least 1 for any phi > 0; every node takes
+    total // n edges and the K-medoids take the remainder total % n, so no
+    node takes more than ceil(total / n).  The float guard keeps 50 * 1.1,
+    which rounds to 55.00000000000001, at 55 edges, and a product past the
+    float range counts as the largest float.
     """
-    total = math.ceil(min(n * phi, sys.float_info.max) - 1e-9)
+    total = max(1, math.ceil(min(n * phi, sys.float_info.max) - 1e-9))
     return total, -(-total // n)
 
 
@@ -372,7 +367,7 @@ def plan_ssp_attack(g: Topology, phi: float, seed: int) -> SSPPlan:
         raise ValueError("phi must be > 0")
     honest = sorted(g.honest)
     n = len(honest)
-    if g.honest - bfs_distances(g, honest[:1]).keys():
+    if g.honest - bfs_distances(g.adjacency(), honest[:1]).keys():
         raise ValueError("honest graph must be connected")
 
     total, max_count = attack_edge_counts(n, phi)
@@ -382,7 +377,7 @@ def plan_ssp_attack(g: Topology, phi: float, seed: int) -> SSPPlan:
         index_of = {node: i for i, node in enumerate(honest)}
         dist = np.zeros((n, n))
         for node in honest:
-            hops = bfs_distances(g, {node})
+            hops = bfs_distances(g.adjacency(), {node})
             for other in honest:
                 dist[index_of[node], index_of[other]] = hops[other]
         for medoid_index in kmedoids(dist, extra, seed):

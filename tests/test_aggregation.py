@@ -25,6 +25,7 @@ from sybilsim.aggregation import (
     sybilwall_weights,
     weighted_average,
 )
+from sybilsim.numerics import NumericFailure
 
 
 class TestFedavg:
@@ -212,6 +213,14 @@ class TestFoolsgoldScores:
                 assert got[node] == pytest.approx(want[node], rel=0, abs=1e-12)
             if n > 2:
                 assert got[1] == got[2] == 0.0
+
+    def test_overflowing_norm_is_not_scored(self):
+        """History 0 is parallel to history 1, but its squared norm leaves the
+        double range; scoring it would read its cosines as 0."""
+        histories = [(0, np.full(3, 1e200)), (1, np.ones(3)), (2, np.arange(3.0))]
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericFailure, match="norms overflow"):
+                foolsgold_scores(histories)
 
     def test_rejects_histories_of_different_lengths(self):
         with pytest.raises(ValueError):

@@ -478,6 +478,18 @@ class TestRun:
         err = capsys.readouterr().err
         assert re.search(r"runtime failure: NumericFailure: node \d+ round 1: .*lam 1000", err)
 
+    def test_unscorable_histories_exit_runtime(self, tmp_path, capsys):
+        path = tmp_path / "lr.yaml"
+        path.write_text(
+            BASE_YAML.replace("aggregator: fedavg", "aggregator: sybilwall")
+            .replace("learning_rate: 0.05", "learning_rate: 1.0e+200")
+        )
+        with np.errstate(all="ignore"):
+            code = main(["run", "--config", str(path), "--out-dir", str(tmp_path / "x")])
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "runtime failure: NumericFailure: node 0 round 2: " in err
+
 
 class TestSweep:
     def test_summary_rows_match_per_run_finals(self, config_file, tmp_path, capsys):

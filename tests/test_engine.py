@@ -457,6 +457,19 @@ class TestNumericFailure:
             with pytest.raises(NumericFailure, match=r"^node 0 round 0: "):
                 run_simulation(_cfg(train=train))
 
+    @pytest.mark.parametrize(
+        "aggregator",
+        ["sybilwall", "sybilwall+krumfilter", "sybilwall+median", "sybilwall+wmedian",
+         "foolsgold"],
+    )
+    def test_unscorable_histories_name_the_node_and_round(self, aggregator):
+        """At learning rate 1e200 the models stay on the history grid, but by
+        round 2 the history norms overflow and no cosine can be scored."""
+        train = TrainSection(learning_rate=1e200, local_epochs=2, batch_size=8)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericFailure, match=r"^node 0 round 2: "):
+                run_simulation(_cfg(aggregator=aggregator, train=train))
+
     def test_underflowing_gossip_weights_name_the_node_round_and_lam(self):
         """lam 1000 passes validation, but every exp(-lam * d) underflows once
         a database holds its first records, in round 1."""

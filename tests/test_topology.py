@@ -16,6 +16,7 @@ from sybilsim.topology import (
     SSPPlan,
     Topology,
     attach_sybils,
+    attack_edge_counts,
     bfs_distances,
     build_attack_network,
     cap_degrees,
@@ -286,7 +287,7 @@ def _bridge_pass_cap(g, e, seed):
     rng = np.random.default_rng(seed)
     adj = {n: set(v) for n, v in g.adjacency().items()}
     over = sorted(n for n in adj if len(adj[n]) > e)
-    if over and len(bfs_distances(g, over[:1])) < len(adj):
+    if over and len(bfs_distances(g.adjacency(), over[:1])) < len(adj):
         raise CappingFailure(
             f"nodes {over} exceed degree {e} but the graph is not connected"
         )
@@ -379,7 +380,7 @@ class TestBfsDistances:
         g = random_geometric_graph(14, 0.4, seed=8)
         nodes, index, dist = self._floyd_warshall(g)
         for s in nodes:
-            hops = bfs_distances(g, {s})
+            hops = bfs_distances(g.adjacency(), {s})
             for t in nodes:
                 assert hops[t] == int(dist[index[s], index[t]])
 
@@ -387,19 +388,19 @@ class TestBfsDistances:
         g = random_geometric_graph(14, 0.4, seed=8)
         nodes, index, dist = self._floyd_warshall(g)
         sources = {nodes[0], nodes[5], nodes[9]}
-        hops = bfs_distances(g, sources)
+        hops = bfs_distances(g.adjacency(), sources)
         for t in nodes:
             expect = min(int(dist[index[s], index[t]]) for s in sources)
             assert hops[t] == expect
 
     def test_unreachable_absent(self):
         t = Topology(frozenset(range(4)), frozenset(), {(0, 1), (2, 3)}, 4)
-        hops = bfs_distances(t, {0})
+        hops = bfs_distances(t.adjacency(), {0})
         assert set(hops) == {0, 1}
 
     def test_empty_sources_rejected(self):
         with pytest.raises(ValueError):
-            bfs_distances(_path_graph(3), set())
+            bfs_distances(_path_graph(3).adjacency(), set())
 
 
 class TestKmedoids:
@@ -552,6 +553,15 @@ class TestBuildAttackNetwork:
     def test_insufficient_headroom_rejected(self):
         with pytest.raises(ValueError, match="room"):
             build_attack_network(10, 0.5, 4, 3.0, seed=0)
+
+    def test_tiny_phi_plans_one_edge(self):
+        """n * phi at or below the 1e-9 float guard still rounds up to one."""
+        assert attack_edge_counts(16, 5e-11) == (1, 1)
+        assert attack_edge_counts(99, 1e-11) == (1, 1)
+        honest, plan, full = build_attack_network(16, 0.7, 8, 5e-11, 7)
+        assert plan.sybil_count == 1 and len(plan.attack_edges) == 1
+        assert len(full.sybils) == 1
+        assert len(full.edges) == len(honest.edges) + 1
 
     def test_deterministic(self):
         a = build_attack_network(12, 0.5, 8, 1.0, seed=11)
