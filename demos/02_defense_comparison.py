@@ -9,6 +9,7 @@ interactive; pass --rounds 150 for the full picture.
 """
 
 import argparse
+import dataclasses
 import os
 
 from sybilsim.config import load_config
@@ -32,11 +33,7 @@ def main():
 
     print(f"{'rule':<12} {'accuracy':>8} {'attack':>8}")
     for rule in RULES:
-        cfg = load_config(os.path.join(HERE, "configs", "label_flip_defense.yaml"))
-        cfg.rounds = args.rounds
-        cfg.seed = args.seed
-        cfg.aggregator = rule
-        last = run_simulation(cfg).metrics[-1]
+        last = run_simulation(dataclasses.replace(base, aggregator=rule)).metrics[-1]
         print(f"{rule:<12} {last.mean_accuracy:8.3f} {last.mean_attack_score:8.3f}")
 
     print("\nlower attack score = less poison absorbed; the similarity-")

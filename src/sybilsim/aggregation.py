@@ -27,6 +27,11 @@ LOGIT_EPS = 1e-5
 # direction: exact clones score 1 - cos with cos a few ulps from 1.
 SCORE_FLOOR = 64 * np.finfo(np.float64).eps
 
+# the combine steps ``apply_weights`` offers after SybilWall's weighting
+ENHANCEMENTS = ("median", "wmedian", "krumfilter")
+AGGREGATORS = ("fedavg", "foolsgold", "krum", "multikrum", "median", "sybilwall",
+               *(f"sybilwall+{e}" for e in ENHANCEMENTS))
+
 
 def _vectors(vs) -> List[np.ndarray]:
     """Each of ``vs`` as a float64 array, checked to be 1-D and of one length."""
@@ -139,14 +144,18 @@ def _krum(models: Sequence[np.ndarray], f: int) -> Tuple[np.ndarray, np.ndarray]
     upper, lower = np.triu_indices(n, 1)
     diff = stacked[upper] - stacked[lower]
     diff *= diff
+    dist = diff.sum(axis=1)
+    if np.isposinf(dist).any():
+        raise NumericFailure("model distances overflow, so Krum cannot rank the models")
     d2 = np.empty((n, n))
-    d2[upper, lower] = d2[lower, upper] = diff.sum(axis=1)
+    d2[upper, lower] = d2[lower, upper] = dist
     others = np.sort(d2[~np.eye(n, dtype=bool)].reshape(n, n - 1), axis=1)
     return stacked, others[:, : n - f - 2].sum(axis=1)
 
 
 def krum_score(models: Sequence[np.ndarray], f: int) -> List[float]:
-    """Sum of squared distances to the n - f - 2 nearest other models."""
+    """Sum of squared distances to the n - f - 2 nearest other models.  A
+    distance too large for a double leaves no ranking: ``NumericFailure``."""
     return _krum(models, f)[1].tolist()
 
 
@@ -229,7 +238,7 @@ def apply_weights(
       once the honest nodes have converged.  Fewer than 4 models are left
       unfiltered, and weights that all end up zero keep the own model.
     """
-    if enhancement not in (None, "median", "wmedian", "krumfilter"):
+    if enhancement not in (None, *ENHANCEMENTS):
         raise ValueError(f"unknown enhancement {enhancement!r}")
     ids = [c.own[0]] + [i for i, _, _ in c.direct]
     missing = sorted(i for i in ids if i not in weights)

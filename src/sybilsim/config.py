@@ -9,25 +9,15 @@ message.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import asdict, dataclass, field, is_dataclass
 from typing import List, Optional, Union, get_args, get_origin, get_type_hints
 
+from .aggregation import AGGREGATORS
 from .gossip import get_scheme
 from .topology import attack_edge_counts
-
-AGGREGATORS = (
-    "fedavg",
-    "foolsgold",
-    "krum",
-    "multikrum",
-    "median",
-    "sybilwall",
-    "sybilwall+median",
-    "sybilwall+wmedian",
-    "sybilwall+krumfilter",
-)
 
 ATTACK_KINDS = ("label_flip", "backdoor")
 
@@ -41,6 +31,20 @@ _hints = functools.cache(get_type_hints)
 
 class ConfigError(ValueError):
     """Invalid configuration; the message names the field path."""
+
+
+@contextlib.contextmanager
+def named(prefix: str, *kinds, as_=ConfigError):
+    """Re-raise any of ``kinds`` raised in the scope as ``as_`` with the
+    message ``f"{prefix}: {exc}"``, chained to the original.
+
+    ``ConfigError`` is a ``ValueError``, so a scope that names
+    ``ValueError`` must never enclose another ``named`` scope: it would
+    wrap that scope's ``ConfigError`` a second time."""
+    try:
+        yield
+    except kinds as exc:
+        raise as_(f"{prefix}: {exc}") from exc
 
 
 @dataclass
@@ -241,10 +245,8 @@ def _build(cls, obj, path: str):
     if unknown:
         raise ConfigError(f"{prefix}{sorted(unknown)[0]}: unknown field")
     kwargs = {key: _value(hints[key], value, prefix + key) for key, value in obj.items()}
-    try:
+    with named(path or "config", TypeError):
         return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"{path or 'config'}: {exc}") from exc
 
 
 def _value(hint, value, path: str):
@@ -276,11 +278,8 @@ def load_config(path: str) -> SimulationConfig:
     """Parse and validate a YAML config file."""
     import yaml  # only YAML configs need it; runs built in code never load it
 
-    with open(path, "r") as fh:
-        try:
-            raw = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"config does not parse as YAML: {exc}") from exc
+    with open(path, "r") as fh, named("config does not parse as YAML", yaml.YAMLError):
+        raw = yaml.safe_load(fh)
     if raw is None:
         raw = {}
     return config_from_dict(raw)

@@ -40,7 +40,7 @@ from .aggregation import (
     sybilwall_weights,
     weighted_average,
 )
-from .config import ConfigError, SimulationConfig
+from .config import ConfigError, SimulationConfig, named
 from .data import (
     Backdoor,
     LabeledDataset,
@@ -213,11 +213,9 @@ def _build_datasets(cfg: SimulationConfig) -> Tuple[LabeledDataset, LabeledDatas
             train_idx.extend(range(start, start + d.per_class))
             test_idx.extend(range(start + d.per_class, start + block))
         return full.subset(train_idx), full.subset(test_idx)
-    try:
+    with named("data", ValueError):  # a malformed file; the message names it
         train = load_idx(d.images_path, d.labels_path)
         test = load_idx(d.test_images_path, d.test_labels_path)
-    except ValueError as exc:  # a malformed file; the message names it
-        raise ConfigError(f"data: {exc}") from exc
     # each IDX pair takes its class count from its own labels; the model and
     # the attack are built from the training pair's
     for path, pair in (("labels_path", train), ("test_labels_path", test)):
@@ -381,10 +379,7 @@ def _compose_outbox(
     state.history = own.history  # the block's read-only copy; the engine only rebinds it
     picks = [None] * len(state.neighbors)
     if state.relays:
-        try:
-            picks = select_gossip(pool, state.neighbors, lam, rng)
-        except NumericFailure as exc:
-            raise NumericFailure(f"node {state.id} round {rnd}: {exc}") from exc
+        picks = select_gossip(pool, state.neighbors, lam, rng)
     return {j: compose_message(own, pick) for j, pick in zip(state.neighbors, picks)}
 
 
@@ -397,14 +392,10 @@ def build_network(cfg: SimulationConfig) -> Tuple[Optional[SSPPlan], Topology]:
     """
     phi = cfg.attack.phi if cfg.attack is not None else None
     topo_seed = cfg.topology.seed if cfg.topology.seed is not None else cfg.seed
-    try:
+    with named("topology.radius", GenerationFailure), named("degree_bound", CappingFailure):
         _, plan, full_g = build_attack_network(
             cfg.honest_nodes, cfg.topology.radius, cfg.degree_bound, phi, topo_seed
         )
-    except GenerationFailure as exc:
-        raise ConfigError(f"topology.radius: {exc}") from exc
-    except CappingFailure as exc:
-        raise ConfigError(f"degree_bound: {exc}") from exc
     return plan, full_g
 
 
@@ -426,10 +417,8 @@ def run_simulation(
     train_set, test_set = _build_datasets(cfg)
     arch = Architecture(input_dim=train_set.dim, n_classes=train_set.n_classes)
     spec = _build_attack_spec(cfg, train_set)
-    try:
+    with named("data.test_labels_path", UndefinedScore):  # a label flip on idx test labels
         segment = None if spec is None else attack_segment(test_set, spec)
-    except UndefinedScore as exc:  # a label flip on idx test labels
-        raise ConfigError(f"data.test_labels_path: {exc}") from exc
 
     parts = dirichlet_partition(
         train_set,
@@ -506,6 +495,9 @@ def run_simulation(
     message_counts: List[int] = []
     rejected_counts: List[int] = []
 
+    def at_node(i: int):  # a node's numeric failure names the node and the round
+        return named(f"node {i} round {rnd}", NumericFailure, as_=NumericFailure)
+
     for rnd in range(cfg.rounds):
         up = [i for i in all_ids if rnd not in offline[i]]
         active = [i for i in up if rnd - 1 not in offline[i]]
@@ -527,12 +519,10 @@ def run_simulation(
             # in its recovery round a node only collects; other Sybils copy
             if i not in trainers or rnd - 1 in offline[i]:
                 continue
-            try:
+            with at_node(i):
                 aggregated, degenerate = _aggregate(
                     cfg.rule_params.kappa, state, received, pools[i], sizes
                 )
-            except NumericFailure as exc:
-                raise NumericFailure(f"node {i} round {rnd}: {exc}") from exc
             starts[i] = Model(aggregated, arch)
             if i in full_g.honest:
                 degenerates += degenerate
@@ -552,22 +542,18 @@ def run_simulation(
         for i, start in starts.items():
             state = nodes[i]
             trained = start.params
-            if len(state.dataset) > 0:
-                tcfg = TrainConfig(
-                    learning_rate=cfg.train.learning_rate,
-                    local_epochs=state.epochs,
-                    batch_size=cfg.train.batch_size,
-                    seed=_train_seed(seed, _TRAIN, i, rnd),
-                )
-                try:
+            with at_node(i):
+                if len(state.dataset) > 0:
+                    tcfg = TrainConfig(
+                        learning_rate=cfg.train.learning_rate,
+                        local_epochs=state.epochs,
+                        batch_size=cfg.train.batch_size,
+                        seed=_train_seed(seed, _TRAIN, i, rnd),
+                    )
                     trained = train_sgd(start, state.dataset, tcfg).params
-                except NumericFailure as exc:
-                    raise NumericFailure(f"node {i} round {rnd}: {exc}") from exc
-            state.model = _quantize(trained)
-            if not np.all(np.isfinite(state.model)):
-                raise NumericFailure(
-                    f"node {i} round {rnd}: trained model overflows the history grid"
-                )
+                state.model = _quantize(trained)
+                if not np.all(np.isfinite(state.model)):
+                    raise NumericFailure("trained model overflows the history grid")
             state.history = state.history + state.model
 
         for s in sybil_ids[1:]:
@@ -580,7 +566,8 @@ def run_simulation(
             state = nodes[i]
             if trace:
                 trained_trace[(i, rnd)] = state.model.copy()
-            outbox = _compose_outbox(state, pools[i], rnd, cfg.gossip.lam, seed)
+            with at_node(i):
+                outbox = _compose_outbox(state, pools[i], rnd, cfg.gossip.lam, seed)
             composed += len(outbox)
             # deliver for next round, dropping mail to offline nodes
             for j, msg in outbox.items():

@@ -17,7 +17,8 @@ import numpy as np
 class NumericFailure(RuntimeError):
     """Raised when a number leaves the range a run can carry: a non-finite
     training loss, a model off the history grid, history norms too large to
-    score, or gossip weights that all underflow."""
+    score, model distances too large for Krum to rank, or gossip weights
+    that all underflow."""
 
 
 @dataclass(frozen=True)

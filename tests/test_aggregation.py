@@ -302,6 +302,18 @@ class TestKrum:
         with pytest.raises(ValueError):
             multi_krum([np.zeros(2)] * 5, 1, 6)
 
+    @pytest.mark.parametrize(
+        "rule", [lambda ms: krum_select(ms, 0), lambda ms: multi_krum(ms, 0, 2)],
+        ids=["krum_select", "multi_krum"],
+    )
+    def test_overflowing_distances_are_not_ranked(self, rule):
+        """Model 0's squared distances leave the double range, so every score
+        is inf and a pick would fall to the lowest index."""
+        models = [np.full(2, 1e200), np.zeros(2), np.ones(2)]
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericFailure, match="distances overflow"):
+                rule(models)
+
 
 def _delete_per_row_krum_score(models, f):
     """``krum_score`` as it was first written: the full (n, n, D) difference,

@@ -460,11 +460,12 @@ class TestNumericFailure:
     @pytest.mark.parametrize(
         "aggregator",
         ["sybilwall", "sybilwall+krumfilter", "sybilwall+median", "sybilwall+wmedian",
-         "foolsgold"],
+         "foolsgold", "krum", "multikrum"],
     )
     def test_unscorable_histories_name_the_node_and_round(self, aggregator):
         """At learning rate 1e200 the models stay on the history grid, but by
-        round 2 the history norms overflow and no cosine can be scored."""
+        round 2 the history norms overflow and no cosine can be scored, and
+        the squared distances between models overflow so Krum cannot rank."""
         train = TrainSection(learning_rate=1e200, local_epochs=2, batch_size=8)
         with np.errstate(all="ignore"):
             with pytest.raises(NumericFailure, match=r"^node 0 round 2: "):
