@@ -12,7 +12,6 @@ import dataclasses
 import math
 import multiprocessing
 import os
-import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -45,6 +44,7 @@ from sybilsim.gossip import (
     select_gossip,
 )
 from sybilsim.topology import build_attack_network, validate_topology
+from oracles import attack_edge_total, krum_scores, similarity_scores, sorted_median
 from test_engine import direct_counts
 
 SEEDS = (1, 2, 3, 4, 5)
@@ -63,63 +63,6 @@ ENHANCEMENT_ALPHA = 0.1
 def _report(name, ok, detail):
     print(f"\n{name}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"{name}: {detail}"
-
-
-# --- independent oracles, deliberately different in structure ---------------
-
-
-def _brute_krum_scores(models, f):
-    n = len(models)
-    keep = n - f - 2
-    scores = []
-    for i in range(n):
-        dists = sorted(
-            sum((a - b) ** 2 for a, b in zip(models[i], models[j]))
-            for j in range(n)
-            if j != i
-        )
-        scores.append(sum(dists[:keep]))
-    return scores
-
-
-def _sorted_median(models):
-    stacked = np.stack(models)
-    out = []
-    for col in stacked.T:
-        v = sorted(col)
-        k = len(v)
-        out.append(v[k // 2] if k % 2 else (v[k // 2 - 1] + v[k // 2]) / 2.0)
-    return np.array(out)
-
-
-def _scoring_oracle(histories, kappa=1.0, eps=1e-5):
-    n = len(histories)
-    vecs = [np.asarray(h, dtype=float) for _, h in histories]
-
-    def cos(a, b):
-        na, nb = math.sqrt(float(a @ a)), math.sqrt(float(b @ b))
-        if na == 0.0 or nb == 0.0:
-            return 0.0
-        return float(a @ b) / (na * nb)
-
-    sim = [[cos(vecs[i], vecs[j]) if i != j else 0.0 for j in range(n)]
-           for i in range(n)]
-    maxima = [max(row) for row in sim]
-    adjusted = [row[:] for row in sim]
-    for i in range(n):
-        for j in range(n):
-            if i != j and maxima[i] < maxima[j]:
-                adjusted[i][j] = sim[i][j] * maxima[i] / maxima[j]
-    raw = [1.0 - max(row) for row in adjusted]
-    top = max(raw)
-    if top <= 64 * sys.float_info.epsilon:
-        return {node: 0.0 for node, _ in histories}
-    out = {}
-    for (node, _), score in zip(histories, raw):
-        w = min(max(score / top, eps), 1.0 - eps)
-        w = kappa * (math.log(w / (1.0 - w)) + 0.5)
-        out[node] = min(max(w, 0.0), 1.0)
-    return out
 
 
 # --- shared simulation batches ----------------------------------------------
@@ -200,7 +143,7 @@ def test_robust_rule_oracle_equivalence():
         f = int(rng.integers(0, n - 2))
         dim = int(rng.integers(2, 7))
         models = [rng.normal(size=dim) for _ in range(n)]
-        expected = _brute_krum_scores(models, f)
+        expected = krum_scores(models, f)
         got = krum_score(models, f)
         worst = max(worst, max(abs(a - b) for a, b in zip(expected, got)))
         assert np.array_equal(
@@ -217,7 +160,7 @@ def test_robust_rule_oracle_equivalence():
         k = int(rng.integers(1, 9))
         models = [rng.normal(size=5) for _ in range(k)]
         assert np.allclose(
-            coordinate_median(models), _sorted_median(models), atol=1e-12
+            coordinate_median(models), sorted_median(models), atol=1e-12
         )
     fg_worst = 0.0
     for _ in range(60):
@@ -226,7 +169,7 @@ def test_robust_rule_oracle_equivalence():
         dim = int(rng.integers(3, 9))
         histories = [(i, rng.normal(size=dim)) for i in range(n)]
         got = foolsgold_scores(histories, kappa=kappa)
-        expected = _scoring_oracle(histories, kappa=kappa)
+        expected = similarity_scores(histories, kappa=kappa)
         fg_worst = max(
             fg_worst, max(abs(got[i] - expected[i]) for i in got)
         )
@@ -412,7 +355,7 @@ def test_attack_plan_validity_over_random_instances():
         honest_g, plan, full_g = build_attack_network(
             n, 0.7, 8, phi, seed=int(rng.integers(0, 2**31))
         )
-        assert len(plan.attack_edges) == math.ceil(n * phi)
+        assert len(plan.attack_edges) == attack_edge_total(n, phi)
         counts = plan.edges_per_honest()
         per_node = [counts.get(i, 0) for i in honest_g.nodes]
         assert max(per_node) - min(per_node) <= 1

@@ -1,13 +1,12 @@
 """Aggregation rule checks.
 
-The similarity pipeline is verified against a separate step-by-step
-reimplementation on random fixtures, Krum against brute-force distance
+The similarity pipeline is verified against the step-by-step scorer of
+``oracles.py`` on random fixtures, Krum against its brute-force distance
 enumeration, and the median variants against hand-worked examples.
 """
 
 import itertools
 import math
-import sys
 import warnings
 
 import numpy as np
@@ -26,6 +25,7 @@ from sybilsim.aggregation import (
     weighted_average,
 )
 from sybilsim.numerics import NumericFailure
+from oracles import krum_scores, similarity_scores
 
 
 class TestFedavg:
@@ -52,38 +52,6 @@ class TestFedavg:
             fedavg([(np.array([1.0]), 1), (np.array([1.0, 2.0]), 1)])
 
 
-def _oracle_scores(histories, kappa=1.0, eps=1e-5):
-    """Plain-python rebuild of the similarity scoring, kept deliberately
-    different in structure from the library version."""
-    n = len(histories)
-    vecs = [np.asarray(h, dtype=float) for _, h in histories]
-
-    def cos(a, b):
-        na, nb = math.sqrt(float(a @ a)), math.sqrt(float(b @ b))
-        if na == 0.0 or nb == 0.0:
-            return 0.0
-        return float(a @ b) / (na * nb)
-
-    sim = [[cos(vecs[i], vecs[j]) if i != j else 0.0 for j in range(n)]
-           for i in range(n)]
-    maxima = [max(row) for row in sim]
-    adjusted = [row[:] for row in sim]
-    for i in range(n):
-        for j in range(n):
-            if i != j and maxima[i] < maxima[j]:
-                adjusted[i][j] = sim[i][j] * maxima[i] / maxima[j]
-    raw = [1.0 - max(row) for row in adjusted]
-    top = max(raw)
-    if top <= 64 * sys.float_info.epsilon:
-        return {node: 0.0 for node, _ in histories}
-    out = {}
-    for (node, _), score in zip(histories, raw):
-        w = min(max(score / top, eps), 1.0 - eps)
-        w = kappa * (math.log(w / (1.0 - w)) + 0.5)
-        out[node] = min(max(w, 0.0), 1.0)
-    return out
-
-
 class TestFoolsgoldScores:
     def test_matches_oracle_on_random_fixtures(self):
         rng = np.random.default_rng(17)
@@ -93,7 +61,7 @@ class TestFoolsgoldScores:
             kappa = float(rng.uniform(0.5, 8.0))
             histories = [(i, rng.normal(size=dim)) for i in range(n)]
             got = foolsgold_scores(histories, kappa=kappa)
-            want = _oracle_scores(histories, kappa=kappa)
+            want = similarity_scores(histories, kappa=kappa)
             for node in want:
                 assert got[node] == pytest.approx(want[node], abs=1e-9)
 
@@ -207,7 +175,7 @@ class TestFoolsgoldScores:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
                 got = foolsgold_scores(pool)
-            want = _oracle_scores(pool)
+            want = similarity_scores(pool)
             assert got.keys() == want.keys()
             for node in want:
                 assert got[node] == pytest.approx(want[node], rel=0, abs=1e-12)
@@ -233,19 +201,6 @@ class TestFoolsgoldScores:
             foolsgold_scores([(0, np.array([1.0])), (0, np.array([2.0]))])
 
 
-def _brute_krum_scores(models, f):
-    n = len(models)
-    keep = n - f - 2
-    scores = []
-    for i in range(n):
-        dists = sorted(
-            sum((a - b) ** 2 for a, b in zip(models[i], models[j]))
-            for j in range(n) if j != i
-        )
-        scores.append(sum(dists[:keep]))
-    return scores
-
-
 class TestKrum:
     def test_matches_brute_force(self):
         rng = np.random.default_rng(21)
@@ -256,7 +211,7 @@ class TestKrum:
                 continue
             models = [rng.normal(size=3) for _ in range(n)]
             got = krum_score(models, f)
-            want = _brute_krum_scores(models, f)
+            want = krum_scores(models, f)
             assert got == pytest.approx(want, abs=1e-9)
             best = int(np.argmin(want))
             assert np.array_equal(krum_select(models, f), models[best])
@@ -293,7 +248,7 @@ class TestKrum:
     def test_multi_krum_brute_force(self):
         rng = np.random.default_rng(9)
         models = [rng.normal(size=3) for _ in range(5)]
-        scores = _brute_krum_scores(models, 1)
+        scores = krum_scores(models, 1)
         order = np.argsort(scores, kind="stable")[:2]
         want = np.mean([models[i] for i in order], axis=0)
         assert multi_krum(models, 1, 2) == pytest.approx(want)
@@ -594,7 +549,7 @@ class TestEnhanceKrumFilter:
         )
         weights = {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0, 4: 1.0}
         out = apply_weights(c, weights, "krumfilter")
-        scores = _brute_krum_scores([[0.0], [0.1], [0.2], [5.0], [5.2]], 1)
+        scores = krum_scores([[0.0], [0.1], [0.2], [5.0], [5.2]], 1)
         assert int(np.argmax(scores)) == 4
         want = (0.0 + 0.1 + 0.2 + 5.0) / 4
         assert out == pytest.approx([want])
@@ -606,7 +561,7 @@ class TestEnhanceKrumFilter:
             [(1, [4.0], [1.0]), (2, [8.0], [1.0]), (3, [5.0], [1.0]),
              (4, [5.0], [1.0])],
         )
-        scores = _brute_krum_scores([[0.0], [4.0], [8.0], [5.0], [5.0]], 1)
+        scores = krum_scores([[0.0], [4.0], [8.0], [5.0], [5.0]], 1)
         assert int(np.argmax(scores)) == 0
         out = apply_weights(c, {i: 1.0 for i in range(5)}, "krumfilter")
         want = (4.0 + 8.0 + 5.0 + 5.0) / 4
@@ -620,7 +575,7 @@ class TestEnhanceKrumFilter:
             [(1, [5.0], [1.0]), (2, [5.0], [1.0]), (3, [4.9], [1.0]),
              (4, [-3.0], [1.0])],
         )
-        scores = _brute_krum_scores([[5.1], [5.0], [5.0], [4.9], [-3.0]], 1)
+        scores = krum_scores([[5.1], [5.0], [5.0], [4.9], [-3.0]], 1)
         assert int(np.argmax(scores)) == 4
         out = apply_weights(c, {i: 1.0 for i in range(5)}, "krumfilter")
         assert out == pytest.approx([(5.1 + 5.0 + 5.0 + 4.9) / 4])
@@ -637,7 +592,7 @@ class TestEnhanceKrumFilter:
             [(1, [1.0], [1.0]), (2, [-10.0], [1.0]), (3, [0.2], [1.0]),
              (4, [0.5], [1.0])],
         )
-        scores = _brute_krum_scores([[0.0], [1.0], [-10.0], [0.2], [0.5]], 1)
+        scores = krum_scores([[0.0], [1.0], [-10.0], [0.2], [0.5]], 1)
         assert int(np.argmax(scores)) == 2
         out = apply_weights(c, {0: 0.0, 1: 0.0, 2: 0.7, 3: 0.0, 4: 0.0}, "krumfilter")
         assert out == pytest.approx([0.0])

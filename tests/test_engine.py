@@ -612,6 +612,20 @@ class TestNoAttackRuns:
         assert res.metrics[-1].mean_accuracy >= 0.85
 
 
+class TestDegenerateCount:
+    """``RoundMetrics.degenerate_nodes`` counts the nodes that scored a pool
+    of one foreign history, which has no similarity baseline."""
+
+    def test_lone_pair_is_degenerate_once_models_arrive(self):
+        # rounds 0 and 1 infer no neighbor model yet, so nothing is scored
+        res = run_simulation(_cfg(aggregator="sybilwall", honest_nodes=2))
+        assert [m.degenerate_nodes for m in res.metrics] == [0, 0, 2, 2, 2, 2]
+
+    def test_larger_pools_are_never_degenerate(self):
+        res = run_simulation(_cfg(aggregator="sybilwall"))
+        assert [m.degenerate_nodes for m in res.metrics] == [0] * 6
+
+
 class TestAdversary:
     def test_all_sybils_share_one_model(self):
         cfg = _attack_cfg()
