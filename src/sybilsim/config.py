@@ -196,12 +196,10 @@ class SimulationConfig:
         _require(
             g.capacity is None or g.capacity >= 1, "gossip.capacity", "must be >= 1"
         )
-        try:
-            get_scheme(g.scheme)  # an ed25519 config loads its backend here
-        except ValueError as exc:
-            raise ConfigError(f"gossip.scheme: {exc}") from None
-        except ImportError as exc:
-            raise ConfigError(f"gossip.scheme: {g.scheme} cannot load: {exc}") from None
+        # the ValueError scope sits inside, so its ConfigError passes the outer one
+        with named(f"gossip.scheme: {g.scheme} cannot load", ImportError):
+            with named("gossip.scheme", ValueError):
+                get_scheme(g.scheme)  # an ed25519 config loads its backend here
         _require(self.rule_params.kappa > 0, "rule_params.kappa", "must be > 0")
         _require(
             self.adversary_epochs is None or self.adversary_epochs >= 1,

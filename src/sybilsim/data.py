@@ -1,8 +1,10 @@
 """Dataset synthesis, IDX loading, non-i.i.d. partitioning, and poisoning.
 
 A :class:`LabeledDataset` is a feature matrix in [0, 1] plus integer class
-labels.  Poisoning transforms return new datasets and never mutate their
-input.  Everything that draws random numbers is deterministic per seed.
+labels.  :func:`poison_dataset` is the one attack transform, a label flip or
+a backdoor; it returns a new dataset and never mutates its input.  An attack
+is scored by ``evaluate_accuracy`` on its :func:`attack_segment`.
+Everything that draws random numbers is deterministic per seed.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from sybilsim.numerics import Model, predict
+from sybilsim.numerics import Model, evaluate_accuracy
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -58,19 +60,6 @@ class LabeledDataset:
         return LabeledDataset(
             self.features[idx], self.labels[idx], self.n_classes, self.image_shape
         )
-
-
-@dataclass(frozen=True)
-class PartitionSpec:
-    node_count: int
-    alpha: float
-    seed: int
-
-    def __post_init__(self):
-        if self.node_count < 1:
-            raise ValueError("node_count must be >= 1")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be > 0")
 
 
 @dataclass(frozen=True)
@@ -196,7 +185,7 @@ def _largest_remainder(fractions: np.ndarray, total: int) -> np.ndarray:
 
 
 def dirichlet_partition(
-    data: LabeledDataset, spec: PartitionSpec
+    data: LabeledDataset, node_count: int, alpha: float, seed: int
 ) -> list[LabeledDataset]:
     """Split a dataset over nodes with per-class Dirichlet proportions.
 
@@ -204,16 +193,20 @@ def dirichlet_partition(
     the class's samples assigned proportionally with largest-remainder
     rounding, so every sample lands on exactly one node.
     """
+    if node_count < 1:
+        raise ValueError("node_count must be >= 1")
+    if alpha <= 0:
+        raise ValueError("alpha must be > 0")
     if len(data) == 0:
         raise ValueError("cannot partition an empty dataset")
-    rng = np.random.default_rng(spec.seed)
-    assigned: list[list[int]] = [[] for _ in range(spec.node_count)]
+    rng = np.random.default_rng(seed)
+    assigned: list[list[int]] = [[] for _ in range(node_count)]
     for c in range(data.n_classes):
         idx = np.flatnonzero(data.labels == c)
         if len(idx) == 0:
             continue
         rng.shuffle(idx)
-        fractions = rng.dirichlet(np.full(spec.node_count, spec.alpha))
+        fractions = rng.dirichlet(np.full(node_count, alpha))
         counts = _largest_remainder(fractions, len(idx))
         start = 0
         for node, count in enumerate(counts):
@@ -227,35 +220,28 @@ def _check_class(data: LabeledDataset, c: int, what: str):
         raise ValueError(f"{what} {c} out of range for {data.n_classes} classes")
 
 
-def apply_label_flip(data: LabeledDataset, t1: int, t2: int) -> LabeledDataset:
-    """Swap labels t1 and t2; features and all other samples untouched."""
-    if t1 == t2:
-        raise ValueError("label-flip targets must differ")
-    _check_class(data, t1, "t1")
-    _check_class(data, t2, "t2")
-    labels = data.labels.copy()
-    labels[data.labels == t1] = t2
-    labels[data.labels == t2] = t1
-    return LabeledDataset(data.features, labels, data.n_classes)
+def poison_dataset(data: LabeledDataset, spec: AttackSpec) -> LabeledDataset:
+    """Apply an attack's transform to a training set or a test set.
 
-
-def apply_backdoor(data: LabeledDataset, pattern, target: int) -> LabeledDataset:
-    """Write the pattern into every sample and relabel everything to ``target``."""
-    _check_class(data, target, "target")
+    A label flip swaps labels t1 and t2 and leaves features and all other
+    samples untouched.  A backdoor writes its pattern into every sample and
+    relabels everything to its target.
+    """
+    if isinstance(spec, LabelFlip):
+        _check_class(data, spec.t1, "t1")
+        _check_class(data, spec.t2, "t2")
+        labels = data.labels.copy()
+        labels[data.labels == spec.t1] = spec.t2
+        labels[data.labels == spec.t2] = spec.t1
+        return LabeledDataset(data.features, labels, data.n_classes)
+    _check_class(data, spec.target, "target")
     features = data.features.copy()
-    for index, value in pattern:
+    for index, value in spec.pattern:
         if not 0 <= index < data.dim:
             raise ValueError(f"pattern index {index} out of range for dim {data.dim}")
         features[:, index] = value
-    labels = np.full(len(data), target, dtype=np.int64)
+    labels = np.full(len(data), spec.target, dtype=np.int64)
     return LabeledDataset(features, labels, data.n_classes)
-
-
-def poison_dataset(data: LabeledDataset, spec: AttackSpec) -> LabeledDataset:
-    """Apply an attack's training-data transform to a local dataset."""
-    if isinstance(spec, LabelFlip):
-        return apply_label_flip(data, spec.t1, spec.t2)
-    return apply_backdoor(data, spec.pattern, spec.target)
 
 
 def attack_segment(clean_test: LabeledDataset, spec: AttackSpec) -> LabeledDataset:
@@ -268,18 +254,17 @@ def attack_segment(clean_test: LabeledDataset, spec: AttackSpec) -> LabeledDatas
     """
     if len(clean_test) == 0:
         raise ValueError("clean_test is empty")
+    poisoned = poison_dataset(clean_test, spec)
     if isinstance(spec, LabelFlip):
-        _check_class(clean_test, spec.t1, "t1")
-        _check_class(clean_test, spec.t2, "t2")
         mask = (clean_test.labels == spec.t1) | (clean_test.labels == spec.t2)
         if not mask.any():
             raise UndefinedScore(
                 f"test set has no samples of classes {spec.t1} or {spec.t2}"
             )
-        return apply_label_flip(clean_test.subset(np.flatnonzero(mask)), spec.t1, spec.t2)
-    return apply_backdoor(clean_test, spec.pattern, spec.target)
+        return poisoned.subset(np.flatnonzero(mask))
+    return poisoned
 
 
 def attack_score(model: Model, segment: LabeledDataset) -> float:
     """Accuracy of the model on an ``attack_segment``."""
-    return float(np.mean(predict(model, segment.features) == segment.labels))
+    return evaluate_accuracy(model, segment)

@@ -45,7 +45,6 @@ from .data import (
     Backdoor,
     LabeledDataset,
     LabelFlip,
-    PartitionSpec,
     UndefinedScore,
     attack_score,
     attack_segment,
@@ -421,10 +420,7 @@ def run_simulation(
         segment = None if spec is None else attack_segment(test_set, spec)
 
     parts = dirichlet_partition(
-        train_set,
-        PartitionSpec(
-            cfg.honest_nodes, cfg.data.alpha, _train_seed(seed, _PARTITION, 0, 0)
-        ),
+        train_set, cfg.honest_nodes, cfg.data.alpha, _train_seed(seed, _PARTITION, 0, 0)
     )
     poisoned = None
     if spec is not None:

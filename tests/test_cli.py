@@ -22,6 +22,7 @@ from sybilsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from sybilsim.config import AttackConfig, ConfigError, SimulationConfig, load_config
 from sybilsim.engine import _build_attack_spec, _build_datasets, run_simulation
 from sybilsim.gossip import SCHEMES
+from test_data import idx_images_bytes, idx_labels_bytes
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 README = PYPROJECT.parent / "README.md"
@@ -76,17 +77,20 @@ def attack_config_file(tmp_path):
     return str(path)
 
 
-def _float_paths(cls, prefix=""):
-    """Dotted path of every float field, sections and optional sections opened."""
+def _scalar_hints(cls, prefix=""):
+    """(path, annotation) of every scalar field, opening sections and the
+    first entry of a list."""
     for name, hint in get_type_hints(cls).items():
         inner = [t for t in (hint, *get_args(hint)) if is_dataclass(t)]
-        if inner:
-            yield from _float_paths(inner[0], f"{prefix}{name}.")
-        elif hint is float:
-            yield f"{prefix}{name}"
+        if not inner:
+            yield f"{prefix}{name}", hint
+        elif get_origin(hint) is list:
+            yield from _scalar_hints(inner[0], f"{prefix}{name}[0].")
+        else:
+            yield from _scalar_hints(inner[0], f"{prefix}{name}.")
 
 
-FLOAT_PATHS = list(_float_paths(SimulationConfig))
+FLOAT_PATHS = [path for path, hint in _scalar_hints(SimulationConfig) if hint is float]
 
 
 class TestValidate:
@@ -352,19 +356,6 @@ SCALAR_TYPES = {
     "downtime[0].start": "int",
     "downtime[0].length": "int",
 }
-
-
-def _scalar_hints(cls, prefix=""):
-    """(path, annotation) of every scalar field, opening sections and the
-    first entry of a list."""
-    for name, hint in get_type_hints(cls).items():
-        inner = [t for t in (hint, *get_args(hint)) if is_dataclass(t)]
-        if not inner:
-            yield f"{prefix}{name}", hint
-        elif get_origin(hint) is list:
-            yield from _scalar_hints(inner[0], f"{prefix}{name}[0].")
-        else:
-            yield from _scalar_hints(inner[0], f"{prefix}{name}.")
 
 
 def _config_with(tmp_path, path, value) -> str:
@@ -683,13 +674,8 @@ def assert_validates(cmd, env=None):
 
 
 def _write_idx(path: Path, images: np.ndarray, labels: np.ndarray) -> None:
-    n, rows, cols = images.shape
-    (path / "images").write_bytes(
-        struct.pack(">IIII", 0x803, n, rows, cols) + images.astype(np.uint8).tobytes()
-    )
-    (path / "labels").write_bytes(
-        struct.pack(">II", 0x801, n) + labels.astype(np.uint8).tobytes()
-    )
+    (path / "images").write_bytes(idx_images_bytes(images))
+    (path / "labels").write_bytes(idx_labels_bytes(labels))
 
 
 IDX_YAML = """\
@@ -928,16 +914,6 @@ class TestIdxData:
         assert load_config(config).attack.target == 11
 
 
-def _leaf_names(cls) -> set:
-    """Names of the scalar fields under a config dataclass, sections and
-    list entries (``Optional[AttackConfig]``, ``List[DowntimeEntry]``) opened."""
-    names = set()
-    for name, hint in get_type_hints(cls).items():
-        inner = [t for t in (hint, *get_args(hint)) if is_dataclass(t)]
-        names |= _leaf_names(inner[0]) if inner else {name}
-    return names
-
-
 class TestReadmeConfig:
     def test_config_block_loads_and_names_every_field(self, tmp_path):
         text = README.read_text()
@@ -945,11 +921,8 @@ class TestReadmeConfig:
         path = tmp_path / "readme.yaml"
         path.write_text(block)
         load_config(str(path))
-        missing = {
-            name
-            for name in _leaf_names(SimulationConfig)
-            if not re.search(rf"\b{name}\b", block)
-        }
+        leaves = {dotted.rsplit(".", 1)[-1] for dotted, _ in _scalar_hints(SimulationConfig)}
+        missing = {name for name in leaves if not re.search(rf"\b{name}\b", block)}
         assert not missing, f"README config block omits {sorted(missing)}"
 
 

@@ -1,5 +1,8 @@
 """Dataset plumbing: blob synthesis, IDX parsing against hand-built bytes,
-Dirichlet partition properties, and the poisoning transforms."""
+Dirichlet partition properties, and the poisoning transform.
+
+``idx_images_bytes`` and ``idx_labels_bytes`` are the tests' one IDX writer;
+``test_cli.py`` imports them."""
 
 import struct
 
@@ -10,10 +13,7 @@ from sybilsim.data import (
     Backdoor,
     LabeledDataset,
     LabelFlip,
-    PartitionSpec,
     UndefinedScore,
-    apply_backdoor,
-    apply_label_flip,
     attack_score,
     attack_segment,
     corner_block_pattern,
@@ -25,12 +25,12 @@ from sybilsim.data import (
 from sybilsim.numerics import Architecture, Model
 
 
-def _idx_images_bytes(images: np.ndarray) -> bytes:
+def idx_images_bytes(images: np.ndarray) -> bytes:
     n, rows, cols = images.shape
     return struct.pack(">IIII", 0x803, n, rows, cols) + images.astype(np.uint8).tobytes()
 
 
-def _idx_labels_bytes(labels) -> bytes:
+def idx_labels_bytes(labels) -> bytes:
     labels = np.asarray(labels, dtype=np.uint8)
     return struct.pack(">II", 0x801, len(labels)) + labels.tobytes()
 
@@ -81,8 +81,8 @@ class TestLoadIdx:
         labels = [0, 2, 1, 2, 0]
         ip = tmp_path / "img"
         lp = tmp_path / "lab"
-        ip.write_bytes(_idx_images_bytes(images))
-        lp.write_bytes(_idx_labels_bytes(labels))
+        ip.write_bytes(idx_images_bytes(images))
+        lp.write_bytes(idx_labels_bytes(labels))
         data = load_idx(ip, lp)
         assert data.features.shape == (5, 6)
         np.testing.assert_allclose(data.features, images.reshape(5, 6) / 255.0)
@@ -94,7 +94,7 @@ class TestLoadIdx:
         ip = tmp_path / "img"
         lp = tmp_path / "lab"
         ip.write_bytes(struct.pack(">IIII", 0xDEAD, 0, 1, 1))
-        lp.write_bytes(_idx_labels_bytes([]))
+        lp.write_bytes(idx_labels_bytes([]))
         with pytest.raises(ValueError, match="byte 0"):
             load_idx(ip, lp)
 
@@ -102,15 +102,15 @@ class TestLoadIdx:
         ip = tmp_path / "img"
         lp = tmp_path / "lab"
         ip.write_bytes(struct.pack(">IIII", 0x803, 2, 2, 2) + b"\x00" * 7)
-        lp.write_bytes(_idx_labels_bytes([0, 1]))
+        lp.write_bytes(idx_labels_bytes([0, 1]))
         with pytest.raises(ValueError, match="truncated"):
             load_idx(ip, lp)
 
     def test_count_mismatch(self, tmp_path):
         ip = tmp_path / "img"
         lp = tmp_path / "lab"
-        ip.write_bytes(_idx_images_bytes(np.zeros((2, 1, 1), dtype=np.uint8)))
-        lp.write_bytes(_idx_labels_bytes([0, 1, 0]))
+        ip.write_bytes(idx_images_bytes(np.zeros((2, 1, 1), dtype=np.uint8)))
+        lp.write_bytes(idx_labels_bytes([0, 1, 0]))
         with pytest.raises(ValueError, match="does not match"):
             load_idx(ip, lp)
 
@@ -118,7 +118,7 @@ class TestLoadIdx:
 class TestDirichletPartition:
     def test_every_sample_exactly_once(self):
         data = synth_blobs(5, 20, 3, 0.1, seed=3)
-        parts = dirichlet_partition(data, PartitionSpec(7, 0.5, seed=11))
+        parts = dirichlet_partition(data, 7, 0.5, seed=11)
         assert len(parts) == 7
         assert sum(len(p) for p in parts) == len(data)
         # Feature rows across all shares must reassemble the original multiset.
@@ -130,8 +130,8 @@ class TestDirichletPartition:
 
     def test_deterministic(self):
         data = synth_blobs(3, 10, 2, 0.1, seed=5)
-        a = dirichlet_partition(data, PartitionSpec(4, 0.1, seed=9))
-        b = dirichlet_partition(data, PartitionSpec(4, 0.1, seed=9))
+        a = dirichlet_partition(data, 4, 0.1, seed=9)
+        b = dirichlet_partition(data, 4, 0.1, seed=9)
         for pa, pb in zip(a, b):
             np.testing.assert_array_equal(pa.features, pb.features)
             np.testing.assert_array_equal(pa.labels, pb.labels)
@@ -139,27 +139,34 @@ class TestDirichletPartition:
     def test_low_alpha_concentrates(self):
         """Small alpha should put most of each class on few nodes."""
         data = synth_blobs(4, 100, 2, 0.1, seed=2)
-        parts = dirichlet_partition(data, PartitionSpec(8, 0.05, seed=1))
+        parts = dirichlet_partition(data, 8, 0.05, seed=1)
         for c in range(4):
             owners = sum(1 for p in parts if (p.labels == c).any())
             assert owners <= 4  # each class lands on at most half the nodes
 
     def test_single_node_gets_everything(self):
         data = synth_blobs(2, 4, 2, 0.1, seed=0)
-        (only,) = dirichlet_partition(data, PartitionSpec(1, 1.0, seed=0))
+        (only,) = dirichlet_partition(data, 1, 1.0, seed=0)
         assert len(only) == len(data)
+
+    def test_rejects_no_nodes_and_non_positive_alpha(self):
+        data = synth_blobs(2, 4, 2, 0.1, seed=0)
+        with pytest.raises(ValueError, match=r"^node_count must be >= 1$"):
+            dirichlet_partition(data, 0, 1.0, 0)
+        with pytest.raises(ValueError, match=r"^alpha must be > 0$"):
+            dirichlet_partition(data, 2, 0.0, 0)
 
 
 class TestLabelFlip:
     def test_direct_swap(self):
         data = LabeledDataset(np.zeros((3, 2)), [0, 1, 2], 3)
-        out = apply_label_flip(data, 0, 1)
+        out = poison_dataset(data, LabelFlip(0, 1))
         np.testing.assert_array_equal(out.labels, [1, 0, 2])
         np.testing.assert_array_equal(out.features, data.features)
 
     def test_absent_classes_noop(self):
         data = LabeledDataset(np.zeros((3, 2)), [0, 1, 2], 5)
-        out = apply_label_flip(data, 3, 4)
+        out = poison_dataset(data, LabelFlip(3, 4))
         np.testing.assert_array_equal(out.labels, data.labels)
 
     def test_involution(self):
@@ -168,23 +175,29 @@ class TestLabelFlip:
             labels = rng.integers(0, 6, size=15)
             data = LabeledDataset(np.zeros((15, 2)), labels, 6)
             t1, t2 = rng.choice(6, size=2, replace=False)
-            twice = apply_label_flip(apply_label_flip(data, t1, t2), t1, t2)
+            flip = LabelFlip(t1, t2)
+            twice = poison_dataset(poison_dataset(data, flip), flip)
             np.testing.assert_array_equal(twice.labels, data.labels)
 
     def test_input_not_mutated(self):
         data = LabeledDataset(np.zeros((2, 2)), [0, 1], 2)
-        apply_label_flip(data, 0, 1)
+        poison_dataset(data, LabelFlip(0, 1))
         np.testing.assert_array_equal(data.labels, [0, 1])
 
     def test_same_class_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^label-flip targets must differ$"):
             LabelFlip(2, 2)
+
+    def test_class_out_of_range(self):
+        data = LabeledDataset(np.zeros((3, 2)), [0, 1, 2], 3)
+        with pytest.raises(ValueError, match=r"^t2 3 out of range for 3 classes$"):
+            poison_dataset(data, LabelFlip(0, 3))
 
 
 class TestBackdoor:
     def test_stamps_and_relabels(self):
         data = LabeledDataset(np.full((3, 4), 0.5), [0, 1, 2], 3)
-        out = apply_backdoor(data, ((0, 1.0), (2, 0.0)), target=1)
+        out = poison_dataset(data, Backdoor(((0, 1.0), (2, 0.0)), target=1))
         np.testing.assert_array_equal(out.labels, [1, 1, 1])
         np.testing.assert_array_equal(out.features[:, 0], [1.0, 1.0, 1.0])
         np.testing.assert_array_equal(out.features[:, 2], [0.0, 0.0, 0.0])
@@ -196,8 +209,13 @@ class TestBackdoor:
 
     def test_out_of_range_pattern(self):
         data = LabeledDataset(np.zeros((1, 2)), [0], 2)
-        with pytest.raises(ValueError, match="out of range"):
-            apply_backdoor(data, ((5, 1.0),), target=0)
+        with pytest.raises(ValueError, match=r"^pattern index 5 out of range for dim 2$"):
+            poison_dataset(data, Backdoor(((5, 1.0),), target=0))
+
+    def test_target_out_of_range(self):
+        data = LabeledDataset(np.zeros((3, 2)), [0, 1, 2], 3)
+        with pytest.raises(ValueError, match=r"^target 3 out of range for 3 classes$"):
+            poison_dataset(data, Backdoor(((0, 1.0),), target=3))
 
 
 class TestPoisonDataset:
@@ -231,6 +249,12 @@ class TestAttackScore:
         test = LabeledDataset(np.zeros((4, 2)), [2, 2, 2, 2], 3)
         with pytest.raises(UndefinedScore):
             attack_segment(test, LabelFlip(0, 1))
+
+    def test_flip_class_out_of_range_is_not_an_undefined_score(self):
+        """The classes are checked before the segment's rows are chosen."""
+        test = LabeledDataset(np.zeros((3, 2)), [0, 1, 2], 3)
+        with pytest.raises(ValueError, match=r"^t1 3 out of range for 3 classes$"):
+            attack_segment(test, LabelFlip(3, 4))
 
     def test_backdoor_scores_stamped_set(self):
         test = LabeledDataset(np.full((5, 2), 0.5), [0, 1, 2, 0, 1], 3)
